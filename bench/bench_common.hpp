@@ -298,7 +298,8 @@ inline bool batched_json_row(JsonReport& json,
           .u64("kway_joins", stats->sched.kway_joins)
           .u64("cascade_rounds", stats->sched.cascade_rounds)
           .u64("cascade_links", stats->sched.cascade_links)
-          .u64("elided_updates", stats->sched.elided_updates);
+          .u64("elided_updates", stats->sched.elided_updates)
+          .u64("commit_records", stats->sched.commit_records);
     }
   }
   if (budget_rpu != 0.0) {

@@ -14,6 +14,8 @@
 // applies at every n in the sweep.
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/cs_matching.hpp"
@@ -27,6 +29,8 @@
 namespace {
 
 constexpr std::size_t kStream = 250;
+/// Timed seconds each point of the wall-per-update ratio accumulates.
+constexpr double kRatioSeconds = 1.0;
 
 bool g_within_budget = true;
 bench::JsonReport g_json("scaling");
@@ -83,12 +87,17 @@ void print_series(const char* name, std::size_t n,
 /// scheduler shares protocol rounds between independent updates (tree
 /// deletions included), so rounds/update drops below the per-update
 /// protocol's constant as N grows while the state stays byte-identical
-/// to the serial run.
-void run_batched_connectivity(
-    std::size_t n, const std::shared_ptr<dmpc::Tracer>& tracer = nullptr) {
+/// to the serial run.  `wall_seconds` times only the updates: the
+/// forest is validated after the timer stops, and a failed validation
+/// exits the bench non-zero.  Returns the wall per update; prints and
+/// emits the row only with `report`.
+double run_batched_connectivity(
+    std::size_t n, bool report,
+    const std::shared_ptr<dmpc::Tracer>& tracer = nullptr) {
   core::DynamicForest forest({.n = n, .m_cap = 4 * n});
   forest.preprocess(graph::EdgeList{});
   harness::DriverConfig config{.batch_size = 16, .checkpoint_every = 0};
+  config.final_checkpoint = false;
   config.executor = harness::ExecutorKind::kThreadPool;
   harness::Driver driver(n, config);
   driver.add("alg", forest);
@@ -97,28 +106,37 @@ void run_batched_connectivity(
     driver.set_tracer(tracer);
     tracer->set_enabled(true);
   }
-  const double wall = bench::timed_seconds([&] {
-    driver.run(graph::random_stream(n, 4 * kStream, 0.75, 16));
-  });
+  const graph::UpdateStream stream =
+      graph::random_stream(n, 4 * kStream, 0.75, 16);
+  const double wall = bench::timed_seconds([&] { driver.run(stream); });
   if (tracer != nullptr) tracer->set_enabled(false);
-  const auto& report = driver.report();
-  const auto& agg = report.find("alg")->batch_agg;
-  const double rpu = bench::rounds_per_update(report, "alg");
-  const auto& sched = report.find("alg")->sched;
+  std::string why;
+  if (!forest.validate(&why)) {
+    std::fprintf(stderr, "bench_scaling: batched connectivity n=%zu failed "
+                 "validate(): %s\n", n, why.c_str());
+    std::exit(1);
+  }
+  const double per_update = wall / static_cast<double>(stream.size());
+  if (!report) return per_update;
+  const auto& run = driver.report();
+  const auto& agg = run.find("alg")->batch_agg;
+  const double rpu = bench::rounds_per_update(run, "alg");
+  const auto& sched = run.find("alg")->sched;
   std::printf("%-24s n=%7zu batches=%4zu | rounds/update=%6.2f "
               "(vs ~6 serial) comm(tot)=%8llu grp/batch=%.1f "
               "reord=%llu sdel=%llu\n",
-              "connectivity (batch=16)", n, report.batches, rpu,
+              "connectivity (batch=16)", n, run.batches, rpu,
               static_cast<unsigned long long>(agg.total_comm_words),
               sched.groups_per_batch(),
               static_cast<unsigned long long>(sched.reordered_updates),
               static_cast<unsigned long long>(sched.batched_tree_deletes));
   g_within_budget =
       bench::batched_json_row(
-          g_json, report, "alg",
+          g_json, run, "alg",
           "connectivity batch=16 n=" + std::to_string(n),
           harness::budgets::kBatchedConnectivityRoundsPerUpdate, wall) &&
       g_within_budget;
+  return per_update;
 }
 
 }  // namespace
@@ -189,7 +207,7 @@ int main(int argc, char** argv) {
       print_series("(2+eps)-approx", n, agg, harness::budgets::kCsMatching,
                    wall);
     }
-    run_batched_connectivity(n);
+    run_batched_connectivity(n, /*report=*/true);
     std::printf("\n");
   }
   // Large-n extension of the batched series only: the per-update
@@ -204,9 +222,30 @@ int main(int argc, char** argv) {
                           ? nullptr
                           : std::make_shared<dmpc::Tracer>();
   for (const std::size_t n : {65536u, 262144u, 1048576u}) {
-    run_batched_connectivity(n, n == 1048576u ? tracer : nullptr);
+    run_batched_connectivity(n, /*report=*/true,
+                             n == 1048576u ? tracer : nullptr);
   }
   if (tracer != nullptr) bench::write_trace(*tracer, cli.trace_path);
+  // Work proportional to the batch means flat wall per update in n.  One
+  // run at n=2^16 times about 0.1 s, too short to divide by, so each
+  // point repeats the same untraced run (a fresh forest each time) until
+  // kRatioSeconds are timed and averages its wall per update.
+  const auto pooled_wall_per_update = [](std::size_t n) {
+    double timed = 0.0, sum = 0.0;
+    std::size_t runs = 0;
+    while (timed < kRatioSeconds) {
+      const double per_update = run_batched_connectivity(n, /*report=*/false);
+      sum += per_update;
+      timed += per_update * static_cast<double>(4 * kStream);
+      ++runs;
+    }
+    return sum / static_cast<double>(runs);
+  };
+  const double ratio =
+      pooled_wall_per_update(1048576u) / pooled_wall_per_update(65536u);
+  std::printf("wall per update, n=2^20 over n=2^16: %.2fx\n", ratio);
+  g_json.row("connectivity batch=16 wall/update 2^20 over 2^16")
+      .num("wall_per_update_ratio", ratio);
   std::printf("\n");
   std::printf("Shapes to read off: rounds flat everywhere; comm/sqrtN\n"
               "roughly constant for the sqrt(N) algorithms; (2+eps) and the\n"

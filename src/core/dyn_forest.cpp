@@ -89,6 +89,24 @@ bool same_updates(const std::vector<graph::Update>& a,
   return true;
 }
 
+/// Whether slot `i` beats `best` (kNpos = none yet) in a min-weight
+/// crossing search: lighter, or as light and earlier in slot order — the
+/// record a whole-shard scan would pick, whatever order a component's
+/// slots are visited in.
+template <class Shard>
+bool lighter_slot(const Shard& es, std::size_t i, std::ptrdiff_t best) {
+  if (best < 0) return true;
+  const auto b = static_cast<std::size_t>(best);
+  return es.w[i] < es.w[b] || (es.w[i] == es.w[b] && i < b);
+}
+
+/// Appends a component's index ids (copied: the caller is about to
+/// relabel the records they name).
+template <class Ids>
+void append_ids(const Ids& ids, std::vector<std::uint32_t>& out) {
+  for (const std::uint32_t id : ids) out.push_back(id);
+}
+
 }  // namespace
 
 DynamicForest::DynamicForest(const DynForestConfig& config)
@@ -101,9 +119,10 @@ DynamicForest::DynamicForest(const DynForestConfig& config)
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
   machines_.resize(mu);
   // Vertex records: comp(v) = v, no tour index yet.
+  for (std::size_t m = 0; m < mu; ++m) {
+    machines_[m].vertices.init(m, mu, config_.n);
+  }
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
-    MachineState& ms = machines_[vertex_machine(v)];
-    ms.vertices[v] = VertexRec{v, etour::kNoIndex};
     cluster_->memory(vertex_machine(v)).charge(kVertexRecWords);
     machines_[dir_machine(v)].comp_sizes[v] = 1;
     cluster_->memory(dir_machine(v)).charge(kDirRecWords);
@@ -154,6 +173,15 @@ void DynamicForest::journal_commit() {
   journal_active_ = false;
 }
 
+void DynamicForest::close_update() {
+  for (MachineState& ms : machines_) {
+    batch_stats_.commit_records += ms.commit_records;
+    ms.commit_records = 0;
+  }
+  journal_commit();
+  cluster_->end_update();
+}
+
 void DynamicForest::journal_rollback() {
   if (!journal_active_) return;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
@@ -170,7 +198,7 @@ void DynamicForest::journal_rollback() {
     }
     for (auto it = ms.journal.vertices.rbegin();
          it != ms.journal.vertices.rend(); ++it) {
-      ms.vertices[it->v] = it->rec;
+      ms.vertices.set(ms.vertices.lid_of(it->v), it->rec);
     }
     for (auto it = ms.journal.dirs.rbegin(); it != ms.journal.dirs.rend();
          ++it) {
@@ -181,6 +209,7 @@ void DynamicForest::journal_rollback() {
       }
     }
     ms.journal_armed = false;
+    ms.commit_records = 0;
     cluster_->memory(static_cast<MachineId>(m))
         .restore_used(journal_mem_used_[m]);
   }
@@ -280,9 +309,8 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
   // singleton directory.
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
     const std::size_t sv = static_cast<std::size_t>(v);
-    VertexRec& rec = machines_[vertex_machine(v)].vertices[v];
-    rec.comp = comp_of[sv];
-    rec.cached_idx = first_idx[sv];
+    VertexShard& vs = machines_[vertex_machine(v)].vertices;
+    vs.set(vs.lid_of(v), VertexRec{comp_of[sv], first_idx[sv]});
     auto& dir = machines_[dir_machine(v)].comp_sizes;
     if (comp_of[sv] != v) {
       dir.erase(v);
@@ -478,14 +506,20 @@ void DynamicForest::apply_merge_local(MachineState& ms, const MergeBcast& mb) {
   auto tx_xform = [&](Word i) {
     return i == etour::kNoIndex ? i : etour::merge_shift_tx(i, mp);
   };
+  // Only the two merged components' records change.  Their ids are
+  // copied out of the index first: relabeling cy moves records to cx.
   EdgeShard& es = ms.edges;
-  for (std::size_t i = 0; i < es.size(); ++i) {
+  std::vector<std::uint32_t>& slots = ms.slot_scratch;
+  slots.clear();
+  append_ids(es.slots_of(mb.cx), slots);
+  append_ids(es.slots_of(mb.cy), slots);
+  for (const std::uint32_t i : slots) {
     // Crossing records keep their pre-split component id, which is the
     // rest side cx of the re-merge that resolves them.  The guard scopes
     // resolution to this merge's own split: a batched deletion group
     // applies several replacement merges behind one barrier, and each
     // must leave the other splits' crossing records alone.
-    if (es.crossing[i] != 0 && mb.resolve_crossing && es.comp[i] == mb.cx) {
+    if (es.crossing[i] != 0 && mb.resolve_crossing && es.comp_at(i) == mb.cx) {
       ms.jlog_edge_slot(i);
       es.iu1[i] = es.u_in_subtree[i] != 0 ? ty_xform(es.iu1[i])
                                           : tx_xform(es.iu1[i]);
@@ -497,39 +531,51 @@ void DynamicForest::apply_merge_local(MachineState& ms, const MergeBcast& mb) {
       if (es.u[i] == mb.y) es.iu1[i] = mb.cached_y;
       if (es.v[i] == mb.x) es.iv1[i] = mb.cached_x;
       if (es.v[i] == mb.y) es.iv1[i] = mb.cached_y;
-      es.comp[i] = mb.cx;
       es.crossing[i] = 0;
       es.u_in_subtree[i] = es.v_in_subtree[i] = 0;
       continue;
     }
-    if (es.comp[i] == mb.cy) {
-      ms.jlog_edge_slot(i);
+    ms.jlog_edge_slot(i);
+    if (es.comp_at(i) == mb.cy) {
       es.iu1[i] = ty_xform(es.iu1[i]);
       es.iu2[i] = es.tree[i] != 0 ? ty_xform(es.iu2[i]) : es.iu2[i];
       es.iv1[i] = ty_xform(es.iv1[i]);
       es.iv2[i] = es.tree[i] != 0 ? ty_xform(es.iv2[i]) : es.iv2[i];
-      es.comp[i] = mb.cx;
-    } else if (es.comp[i] == mb.cx) {
-      ms.jlog_edge_slot(i);
+      es.set_comp(i, mb.cx);
+    } else {
       es.iu1[i] = tx_xform(es.iu1[i]);
       es.iu2[i] = es.tree[i] != 0 ? tx_xform(es.iu2[i]) : es.iu2[i];
       es.iv1[i] = tx_xform(es.iv1[i]);
       es.iv2[i] = es.tree[i] != 0 ? tx_xform(es.iv2[i]) : es.iv2[i];
     }
   }
-  for (auto& [v, rec] : ms.vertices) {
-    if (rec.comp == mb.cy || rec.comp == mb.cx || v == mb.x || v == mb.y) {
-      ms.jlog_vertex(v, rec);
+  VertexShard& vs = ms.vertices;
+  std::vector<std::uint32_t>& lids = ms.lid_scratch;
+  lids.clear();
+  append_ids(vs.lids_of(mb.cx), lids);
+  append_ids(vs.lids_of(mb.cy), lids);
+  // A singleton side's one vertex is outside the index; the broadcast
+  // names it.
+  for (const VertexId v : {mb.x, mb.y}) {
+    if (vs.hosts(v) && vs.at(v).cached_idx == etour::kNoIndex) {
+      lids.push_back(static_cast<std::uint32_t>(vs.lid_of(v)));
     }
+  }
+  for (const std::uint32_t lid : lids) {
+    const VertexId v = vs.vertex_at(lid);
+    VertexRec rec = vs.rec(lid);
+    ms.jlog_vertex(v, rec);
     if (rec.comp == mb.cy) {
       rec.cached_idx = ty_xform(rec.cached_idx);
       rec.comp = mb.cx;
-    } else if (rec.comp == mb.cx) {
+    } else {
       rec.cached_idx = tx_xform(rec.cached_idx);
     }
     if (v == mb.x) rec.cached_idx = mb.cached_x;
     if (v == mb.y) rec.cached_idx = mb.cached_y;
+    vs.set(lid, rec);
   }
+  ms.commit_records += slots.size() + lids.size();
 }
 
 void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
@@ -540,9 +586,13 @@ void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
     return etour::split_in_subtree(i, sp) ? etour::split_shift_subtree(i, sp)
                                           : etour::split_shift_rest(i, sp);
   };
+  // Only the split component's records change; the subtree side moves to
+  // new_comp, so the ids are copied out of the index first.
   EdgeShard& es = ms.edges;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.comp[i] != sb.comp) continue;
+  std::vector<std::uint32_t>& slots = ms.slot_scratch;
+  slots.clear();
+  append_ids(es.slots_of(sb.comp), slots);
+  for (const std::uint32_t i : slots) {
     if (es.key_at(i) == cut_key) {
       continue;  // deleted by an explicit message next round
     }
@@ -553,7 +603,7 @@ void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
       es.iu2[i] = xform(es.iu2[i]);
       es.iv1[i] = xform(es.iv1[i]);
       es.iv2[i] = xform(es.iv2[i]);
-      if (inside) es.comp[i] = sb.new_comp;
+      if (inside) es.set_comp(i, sb.new_comp);
     } else {
       const bool su = etour::split_in_subtree(es.iu1[i], sp);
       const bool sv = etour::split_in_subtree(es.iv1[i], sp);
@@ -567,7 +617,7 @@ void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
       if (es.v[i] == sb.parent) es.iv1[i] = sb.cached_parent;
       if (es.v[i] == sb.child) es.iv1[i] = sb.cached_child;
       if (su == sv) {
-        if (su) es.comp[i] = sb.new_comp;
+        if (su) es.set_comp(i, sb.new_comp);
       } else {
         es.crossing[i] = 1;
         es.u_in_subtree[i] = su ? 1 : 0;
@@ -575,8 +625,14 @@ void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
       }
     }
   }
-  for (auto& [v, rec] : ms.vertices) {
-    if (rec.comp != sb.comp) continue;
+  // A split component has a tree edge, so all its vertices are indexed.
+  VertexShard& vs = ms.vertices;
+  std::vector<std::uint32_t>& lids = ms.lid_scratch;
+  lids.clear();
+  append_ids(vs.lids_of(sb.comp), lids);
+  for (const std::uint32_t lid : lids) {
+    const VertexId v = vs.vertex_at(lid);
+    VertexRec rec = vs.rec(lid);
     ms.jlog_vertex(v, rec);
     if (v == sb.parent) {
       rec.cached_idx = sb.cached_parent;
@@ -589,7 +645,9 @@ void DynamicForest::apply_split_local(MachineState& ms, const SplitBcast& sb) {
     } else {
       rec.cached_idx = etour::split_shift_rest(rec.cached_idx, sp);
     }
+    vs.set(lid, rec);
   }
+  ms.commit_records += slots.size() + lids.size();
 }
 
 void DynamicForest::run_merge(const MergeBcast& mb) {
@@ -813,17 +871,17 @@ void DynamicForest::delete_tree_edge(const Prep& p, VertexId x, VertexId y,
   machines_[dir_machine(sb.new_comp)].comp_sizes[sb.new_comp] = sub_size;
   cluster_->memory(dir_machine(sb.new_comp)).charge(kDirRecWords);
 
-  // Replacement search: every machine scans its shard (concurrently) and
-  // proposes its best (min-weight) crossing candidate to the ingress.
-  // The scan streams the crossing/weight columns; only the winning slot
-  // is materialized into a record.
+  // Replacement search: every machine scans the split component's
+  // records (concurrently) and proposes its best (min-weight) crossing
+  // candidate to the ingress; crossing records keep the pre-split id.
+  // Only the winning slot is materialized into a record.
   std::vector<std::optional<EdgeRec>> candidates(machines_.size());
   cluster_->for_each_machine([&](MachineId m) {
     const EdgeShard& es = machines_[m].edges;
     std::ptrdiff_t best_slot = EdgeShard::kNpos;
-    for (std::size_t i = 0; i < es.size(); ++i) {
+    for (const std::uint32_t i : es.slots_of(sb.comp)) {
       if (es.crossing[i] == 0) continue;
-      if (best_slot == EdgeShard::kNpos || es.w[i] < es.w[best_slot]) {
+      if (lighter_slot(es, i, best_slot)) {
         best_slot = static_cast<std::ptrdiff_t>(i);
       }
     }
@@ -876,8 +934,8 @@ std::optional<DynamicForest::EdgeRec> DynamicForest::path_max_local(
     MachineId m, Word comp, Word fx, Word lx, Word fy, Word ly) const {
   const EdgeShard& es = machines_[m].edges;
   std::ptrdiff_t best_slot = EdgeShard::kNpos;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
+  for (const std::uint32_t i : es.slots_of(comp)) {
+    if (es.tree[i] == 0) continue;
     // Child endpoint owns the inner index pair.
     const Word u_lo = std::min(es.iu1[i], es.iu2[i]);
     const Word u_hi = std::max(es.iu1[i], es.iu2[i]);
@@ -894,7 +952,11 @@ std::optional<DynamicForest::EdgeRec> DynamicForest::path_max_local(
     const bool anc_x = f_c <= fx && lx <= l_c;
     const bool anc_y = f_c <= fy && ly <= l_c;
     if (anc_x == anc_y) continue;  // not on the tree path
-    if (best_slot == EdgeShard::kNpos || es.w[i] > es.w[best_slot]) {
+    // Heaviest wins; among equal weights the lowest slot, as a slot-order
+    // scan would pick.
+    if (best_slot == EdgeShard::kNpos || es.w[i] > es.w[best_slot] ||
+        (es.w[i] == es.w[best_slot] &&
+         static_cast<std::ptrdiff_t>(i) < best_slot)) {
       best_slot = static_cast<std::ptrdiff_t>(i);
     }
   }
@@ -906,8 +968,8 @@ Weight DynamicForest::path_weight_local(MachineId m, Word comp, Word fx,
                                         Word lx, Word fy, Word ly) const {
   const EdgeShard& es = machines_[m].edges;
   Weight sum = 0;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
+  for (const std::uint32_t i : es.slots_of(comp)) {
+    if (es.tree[i] == 0) continue;
     const Word u_lo = std::min(es.iu1[i], es.iu2[i]);
     const Word u_hi = std::max(es.iu1[i], es.iu2[i]);
     const Word v_lo = std::min(es.iv1[i], es.iv2[i]);
@@ -1004,8 +1066,7 @@ void DynamicForest::insert(VertexId x, VertexId y, Weight w) {
     journal_rollback();
     throw;
   }
-  journal_commit();
-  cluster_->end_update();
+  close_update();
 }
 
 void DynamicForest::erase(VertexId x, VertexId y) {
@@ -1021,8 +1082,7 @@ void DynamicForest::erase(VertexId x, VertexId y) {
     journal_rollback();
     throw;
   }
-  journal_commit();
-  cluster_->end_update();
+  close_update();
 }
 
 bool DynamicForest::connected(VertexId u, VertexId v) {
@@ -1265,7 +1325,7 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
     return op;
   }
   if (!exists) return op;  // absent delete: kNoop
-  op.cx = op.cy = es.comp[slot];
+  op.cx = op.cy = es.comp_at(static_cast<std::size_t>(slot));
   if (es.tree[slot] != 0) {
     op.kind = BatchOpKind::kTreeDelete;
     op.writes[op.num_writes++] = op.cx;
@@ -1975,26 +2035,21 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     cluster_->memory(dir_machine(sp.sb.new_comp)).charge(kDirRecWords);
   }
 
-  // Round 11 (shared replacement search): every machine scans its shard
-  // ONCE for all cuts (concurrently across machines), proposing its
-  // per-split best (min-weight) crossing candidate to that cut's
-  // coordinator.
-  std::map<Word, std::size_t> owner;  // split component -> items index
-  for (std::size_t d = 0; d < items.size(); ++d) {
-    owner[items[d].plan.sb.comp] = d;
-  }
+  // Round 11 (shared replacement search): every machine scans each
+  // split component's records (concurrently across machines) — its
+  // crossing records keep the pre-split id — proposing its per-split
+  // best (min-weight) crossing candidate to that cut's coordinator.
   std::vector<std::vector<std::optional<EdgeRec>>> cands(
       machines_.size(), std::vector<std::optional<EdgeRec>>(items.size()));
   cluster_->for_each_machine([&](MachineId m) {
     const EdgeShard& es = machines_[m].edges;
     std::vector<std::ptrdiff_t> best(items.size(), EdgeShard::kNpos);
-    for (std::size_t i = 0; i < es.size(); ++i) {
-      if (es.crossing[i] == 0) continue;
-      const auto it = owner.find(es.comp[i]);
-      if (it == owner.end()) continue;  // unreachable: splits own crossings
-      std::ptrdiff_t& b = best[it->second];
-      if (b == EdgeShard::kNpos || es.w[i] < es.w[b]) {
-        b = static_cast<std::ptrdiff_t>(i);
+    for (std::size_t d = 0; d < items.size(); ++d) {
+      for (const std::uint32_t i : es.slots_of(items[d].plan.sb.comp)) {
+        if (es.crossing[i] == 0) continue;
+        if (lighter_slot(es, i, best[d])) {
+          best[d] = static_cast<std::ptrdiff_t>(i);
+        }
       }
     }
     auto& local = cands[m];
@@ -2416,15 +2471,25 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
     std::vector<std::size_t> cut_ids;  ///< into cuts, batch order
     std::optional<etour::KWaySplit> split;
     std::size_t base = 0;  ///< universe index of fragment 0
+    std::vector<VertexId> cut_verts;  ///< cut endpoints, sorted, unique
+    /// Per cut vertex: repaired (fragment, fragment-original index),
+    /// derived from `app` at the owner and rebroadcast by each cut's
+    /// coordinator.
+    std::unordered_map<VertexId, std::pair<Word, Word>> fixes;
   };
   std::map<Word, SplitComp> splits;
   for (std::size_t c = 0; c < cuts.size(); ++c) {
     SplitComp& sc = splits[cuts[c].comp];
     sc.ivals.push_back({cuts[c].f_c, cuts[c].l_c});
     sc.cut_ids.push_back(c);
+    sc.cut_verts.push_back(cuts[c].parent);
+    sc.cut_verts.push_back(cuts[c].child);
   }
   for (auto& [comp, sc] : splits) {
     sc.split.emplace(etour::elength(comp_size.at(comp)), sc.ivals);
+    std::sort(sc.cut_verts.begin(), sc.cut_verts.end());
+    sc.cut_verts.erase(std::unique(sc.cut_verts.begin(), sc.cut_verts.end()),
+                       sc.cut_verts.end());
     ++batch_stats_.kway_splits;
   }
 
@@ -2445,21 +2510,9 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
   // Min surviving appearance per (component, cut vertex): repairs cached
   // indexes that were copies of removed tour entries.
   std::map<std::pair<Word, VertexId>, Word> app;
-  // Per-vertex repaired (fragment, fragment-original index), derived from
-  // `app` at the owner and rebroadcast by each cut's coordinator.
-  std::map<std::pair<Word, VertexId>, std::pair<Word, Word>> fixes;
   if (!dels.empty()) {
     phase.next(dmpc::TracePhase::kCascade);
     const std::uint64_t cascade_start = rounds;
-    std::map<Word, std::vector<VertexId>> cut_verts;
-    for (const CutInfo& ci : cuts) {
-      cut_verts[ci.comp].push_back(ci.parent);
-      cut_verts[ci.comp].push_back(ci.child);
-    }
-    for (auto& [comp, verts] : cut_verts) {
-      std::sort(verts.begin(), verts.end());
-      verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
-    }
     const auto app_collector = [&](Word comp, VertexId vert) {
       return static_cast<MachineId>(
           splitmix64((static_cast<std::uint64_t>(comp) << 32) ^ vert) % mu);
@@ -2471,9 +2524,10 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
           mu);
     };
     // ---- Cascade round A: fragment-crossing scan.  Each machine folds
-    // its shard to per-(comp,vertex) appearance minima and per-fragment-
-    // pair best (w,u,v) crossing candidates, sent to hashed collectors
-    // (two-hop fold keeps any one receiver under the comm cap).
+    // the split components' records (found through its component index)
+    // to per-(comp,vertex) appearance minima and per-fragment-pair best
+    // (w,u,v) crossing candidates, sent to hashed collectors (two-hop
+    // fold keeps any one receiver under the comm cap).
     std::map<std::pair<Word, VertexId>, Word> best_app;
     std::map<std::tuple<Word, Word, Word>, Cand> best;
     std::vector<std::map<std::pair<Word, VertexId>, Word>> mapp(
@@ -2484,24 +2538,24 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
       const EdgeShard& es = machines_[m].edges;
       auto& lapp = mapp[m];
       auto& lbest = mbest[m];
-      for (std::size_t s = 0; s < es.size(); ++s) {
-        const auto sit = splits.find(es.comp[s]);
-        if (sit == splits.end()) continue;
-        const etour::KWaySplit& sp = *sit->second.split;
-        if (es.tree[s] != 0) {
-          const std::vector<VertexId>& cv = cut_verts.find(es.comp[s])->second;
-          const auto touch = [&](VertexId vert, Word i1, Word i2) {
-            if (!std::binary_search(cv.begin(), cv.end(), vert)) return;
-            for (const Word entry : {i1, i2}) {
-              if (sp.removed(entry)) continue;
-              const auto [it, fresh] =
-                  lapp.emplace(std::make_pair(es.comp[s], vert), entry);
-              if (!fresh && entry < it->second) it->second = entry;
-            }
-          };
-          touch(es.u[s], es.iu1[s], es.iu2[s]);
-          touch(es.v[s], es.iv1[s], es.iv2[s]);
-        } else {
+      for (const auto& [comp, sc] : splits) {
+        const etour::KWaySplit& sp = *sc.split;
+        const std::vector<VertexId>& cv = sc.cut_verts;
+        for (const std::uint32_t s : es.slots_of(comp)) {
+          if (es.tree[s] != 0) {
+            const auto touch = [&](VertexId vert, Word i1, Word i2) {
+              if (!std::binary_search(cv.begin(), cv.end(), vert)) return;
+              for (const Word entry : {i1, i2}) {
+                if (sp.removed(entry)) continue;
+                const auto [it, fresh] =
+                    lapp.emplace(std::make_pair(comp, vert), entry);
+                if (!fresh && entry < it->second) it->second = entry;
+              }
+            };
+            touch(es.u[s], es.iu1[s], es.iu2[s]);
+            touch(es.v[s], es.iv1[s], es.iv2[s]);
+            continue;
+          }
           // Cached appearances locate the fragment even when the entry
           // itself was removed (a removed entry sits positionally inside
           // its owner vertex's fragment); only the index VALUE needs the
@@ -2517,8 +2571,8 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
           c.fv = fv;
           c.iu = es.iu1[s];
           c.iv = es.iv1[s];
-          const auto key = std::make_tuple(es.comp[s], std::min(fu, fv),
-                                           std::max(fu, fv));
+          const auto key =
+              std::make_tuple(comp, std::min(fu, fv), std::max(fu, fv));
           const auto [it, fresh] = lbest.emplace(key, c);
           if (!fresh && std::tie(c.w, c.u, c.v) <
                             std::tie(it->second.w, it->second.u,
@@ -2615,7 +2669,7 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
                       lr.c.v, static_cast<Word>(lr.c.w)});
     }
     for (const CutInfo& ci : cuts) {
-      const SplitComp& sc = splits.at(ci.comp);
+      SplitComp& sc = splits.at(ci.comp);
       const etour::KWaySplit& sp = *sc.split;
       const auto fix_of = [&](VertexId vert, Word probe) {
         const Word frag = static_cast<Word>(sp.fragment_of(probe));
@@ -2626,8 +2680,8 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
       };
       const auto pfix = fix_of(ci.parent, ci.f_c - 1);
       const auto cfix = fix_of(ci.child, ci.f_c);
-      fixes[std::make_pair(ci.comp, ci.parent)] = pfix;
-      fixes[std::make_pair(ci.comp, ci.child)] = cfix;
+      sc.fixes[ci.parent] = pfix;
+      sc.fixes[ci.child] = cfix;
       cluster_->send(dir_machine(ci.comp), ops[ci.op].coord, kCachedFix,
                      {ci.comp, ci.parent, pfix.first, pfix.second, ci.child,
                       cfix.first, cfix.second});
@@ -2717,8 +2771,9 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
           {op.cx, op.cy, op.x, op.y, static_cast<Word>(op.w)});
   }
   for (const CutInfo& ci : cuts) {
-    const auto& pfix = fixes.at(std::make_pair(ci.comp, ci.parent));
-    const auto& cfix = fixes.at(std::make_pair(ci.comp, ci.child));
+    const SplitComp& sc = splits.at(ci.comp);
+    const auto& pfix = sc.fixes.at(ci.parent);
+    const auto& cfix = sc.fixes.at(ci.child);
     bcast(ops[ci.op].coord, kCachedFix,
           {ci.comp, ci.parent, pfix.first, pfix.second, ci.child, cfix.first,
            cfix.second});
@@ -2746,28 +2801,128 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
   }
   finish();
 
-  // ---- Behind the commit barrier: every machine transforms its shard
-  // and vertex records with the shared split/join algebra. --------------
-  std::set<std::uint64_t> cut_keys;
-  for (const CutInfo& ci : cuts) cut_keys.insert(ops[ci.op].ekey);
-  struct LinkInfo {
-    std::size_t link_id = 0;
-    Word fu = 0;
-  };
-  std::map<std::uint64_t, LinkInfo> link_keys;
-  for (const LinkRec& lr : links) {
-    link_keys[edge_key(lr.c.u, lr.c.v)] = {lr.link_id, lr.c.fu};
+  // ---- Behind the commit barrier: the cut records vanish, then every
+  // machine rewrites the records of the fragment universe's components
+  // with the shared split/join algebra.  The component index hands each
+  // machine exactly those records, so the work is proportional to the
+  // components the stage touched, not to the shard. --------------------
+  for (const CutInfo& ci : cuts) {
+    machines_[ops[ci.op].coord].jlog_edge(ops[ci.op].ekey);
+    machines_[ops[ci.op].coord].edges.erase(ops[ci.op].ekey);
+    release_edge_record(ops[ci.op].coord);
   }
+  struct UComp {
+    Word comp = 0;
+    const SplitComp* split = nullptr;  ///< null for a merge component
+    std::size_t base = 0;              ///< universe index of fragment 0
+  };
+  // A singleton merge component has no edge records and its one vertex
+  // is outside the index (it is a merge endpoint, handled by name below),
+  // so machines never look it up.
+  std::vector<UComp> universe;
+  universe.reserve(comp_base.size());
+  for (const auto& [c, base] : comp_base) {
+    const auto sit = splits.find(c);
+    if (sit == splits.end() && comp_size.at(c) == 1) continue;
+    universe.push_back(
+        {c, sit == splits.end() ? nullptr : &sit->second, base});
+  }
+  // Records the loop must recognize without a per-record lookup, sorted
+  // by (machine, local id): promoted links (edge slot -> links index) and
+  // singleton merge endpoints, which stay outside the index (vertex
+  // local id -> universe base).
+  struct Named {
+    MachineId m = 0;
+    std::uint32_t id = 0;
+    std::size_t what = 0;
+    bool operator<(const Named& o) const {
+      return std::tie(m, id) < std::tie(o.m, o.id);
+    }
+  };
+  std::vector<Named> link_slots;
+  for (std::size_t l = 0; l < links.size(); ++l) {
+    const MachineId lm = edge_machine(links[l].c.u, links[l].c.v);
+    const std::ptrdiff_t slot =
+        machines_[lm].edges.find(edge_key(links[l].c.u, links[l].c.v));
+    link_slots.push_back({lm, static_cast<std::uint32_t>(slot), l});
+  }
+  std::sort(link_slots.begin(), link_slots.end());
+  std::vector<Named> singles;
+  for (const VertexId v : merge_verts) {
+    if (vert_idx.at(v) != etour::kNoIndex) continue;
+    const VertexShard& vs = machines_[vertex_machine(v)].vertices;
+    singles.push_back({vertex_machine(v),
+                       static_cast<std::uint32_t>(vs.lid_of(v)),
+                       comp_base.at(vs.at(v).comp)});
+  }
+  std::sort(singles.begin(), singles.end());
+  const auto hosted_by = [](const std::vector<Named>& all, MachineId m) {
+    const auto lo = std::lower_bound(all.begin(), all.end(), Named{m, 0, 0});
+    const auto hi = std::lower_bound(lo, all.end(), Named{m + 1, 0, 0});
+    return std::span<const Named>(all.data() + (lo - all.begin()),
+                                  static_cast<std::size_t>(hi - lo));
+  };
   cluster_->for_each_machine([&](MachineId m) {
-    EdgeShard& es = machines_[m].edges;
-    for (std::size_t s = 0; s < es.size(); ++s) {
-      const Word comp = es.comp[s];
-      const auto sit = splits.find(comp);
-      if (sit != splits.end()) {
-        const SplitComp& sc = sit->second;
-        const etour::KWaySplit& sp = *sc.split;
-        if (cut_keys.count(es.key_at(s)) != 0) continue;  // erased below
-        machines_[m].jlog_edge_slot(s);
+    MachineState& ms = machines_[m];
+    EdgeShard& es = ms.edges;
+    VertexShard& vs = ms.vertices;
+    // Copy the universe's ids out of the index before any relabel moves
+    // them between lists; ends[2k], ends[2k+1] close universe[k]'s runs.
+    std::vector<std::uint32_t>& slots = ms.slot_scratch;
+    std::vector<std::uint32_t>& lids = ms.lid_scratch;
+    std::vector<std::uint32_t>& ends = ms.end_scratch;
+    slots.clear();
+    lids.clear();
+    ends.clear();
+    for (const UComp& uc : universe) {
+      append_ids(es.slots_of(uc.comp), slots);
+      append_ids(vs.lids_of(uc.comp), lids);
+      ends.push_back(static_cast<std::uint32_t>(slots.size()));
+      ends.push_back(static_cast<std::uint32_t>(lids.size()));
+    }
+    const std::span<const Named> my_links = hosted_by(link_slots, m);
+    const std::span<const Named> my_singles = hosted_by(singles, m);
+    std::size_t slot_at = 0, lid_at = 0;
+    for (std::size_t k = 0; k < universe.size(); ++k) {
+      const UComp& uc = universe[k];
+      const std::size_t slot_end = ends[2 * k], lid_end = ends[2 * k + 1];
+      if (uc.split == nullptr) {
+        // A merge component: one whole-tour fragment.
+        for (; slot_at < slot_end; ++slot_at) {
+          const std::uint32_t s = slots[slot_at];
+          ms.jlog_edge_slot(s);
+          es.iu1[s] = plan.map_index(uc.base, es.iu1[s]);
+          es.iv1[s] = plan.map_index(uc.base, es.iv1[s]);
+          if (es.tree[s] != 0) {
+            es.iu2[s] = plan.map_index(uc.base, es.iu2[s]);
+            es.iv2[s] = plan.map_index(uc.base, es.iv2[s]);
+          }
+          es.set_comp(s, final_label(uc.base));
+        }
+        for (; lid_at < lid_end; ++lid_at) {
+          const std::uint32_t lid = lids[lid_at];
+          VertexRec rec = vs.rec(lid);
+          ms.jlog_vertex(vs.vertex_at(lid), rec);
+          rec.cached_idx = plan.resolve(uc.base, rec.cached_idx);
+          rec.comp = final_label(uc.base);
+          vs.set(lid, rec);
+        }
+        continue;
+      }
+      const SplitComp& sc = *uc.split;
+      const etour::KWaySplit& sp = *sc.split;
+      // (fragment, fragment-original index) of a surviving appearance, or
+      // the owner-side fix when the split removed it.
+      const auto locate = [&](VertexId vert, Word raw) {
+        if (!sp.removed(raw)) {
+          return std::make_pair(sp.fragment_of(raw), sp.new_index(raw));
+        }
+        const auto& fx = sc.fixes.at(vert);
+        return std::make_pair(static_cast<std::size_t>(fx.first), fx.second);
+      };
+      for (; slot_at < slot_end; ++slot_at) {
+        const std::uint32_t s = slots[slot_at];
+        ms.jlog_edge_slot(s);
         if (es.tree[s] != 0) {
           // A surviving tree edge's 4 entries all live in one fragment.
           const std::size_t frag = sc.base + sp.fragment_of(es.iu1[s]);
@@ -2775,86 +2930,53 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
           es.iu2[s] = plan.map_index(frag, sp.new_index(es.iu2[s]));
           es.iv1[s] = plan.map_index(frag, sp.new_index(es.iv1[s]));
           es.iv2[s] = plan.map_index(frag, sp.new_index(es.iv2[s]));
-          es.comp[s] = final_label(frag);
+          es.set_comp(s, final_label(frag));
           continue;
         }
-        const auto lit = link_keys.find(es.key_at(s));
-        if (lit != link_keys.end()) {
+        const auto lit = std::lower_bound(my_links.begin(), my_links.end(),
+                                          Named{m, s, 0});
+        if (lit != my_links.end() && lit->id == s) {
           // Promoted replacement: the join plan owns its 4 new entries.
-          const etour::MergeNewIndexes ni =
-              plan.edge_indexes(lit->second.link_id);
+          const LinkRec& lr = links[lit->what];
+          const etour::MergeNewIndexes ni = plan.edge_indexes(lr.link_id);
           es.tree[s] = 1;
           es.iu1[s] = ni.x_enter;
           es.iu2[s] = ni.x_exit;
           es.iv1[s] = ni.y_enter;
           es.iv2[s] = ni.y_exit;
-          es.comp[s] = final_label(sc.base + lit->second.fu);
+          es.set_comp(s, final_label(sc.base + lr.c.fu));
           continue;
         }
-        const auto endpoint = [&](VertexId vert, Word raw) {
-          if (!sp.removed(raw)) {
-            return std::make_pair(sp.fragment_of(raw), sp.new_index(raw));
-          }
-          const auto& fx = fixes.at(std::make_pair(comp, vert));
-          return std::make_pair(static_cast<std::size_t>(fx.first),
-                                fx.second);
-        };
-        const auto pu = endpoint(es.u[s], es.iu1[s]);
-        const auto pv = endpoint(es.v[s], es.iv1[s]);
+        const auto pu = locate(es.u[s], es.iu1[s]);
+        const auto pv = locate(es.v[s], es.iv1[s]);
         es.iu1[s] = plan.resolve(sc.base + pu.first, pu.second);
         es.iv1[s] = plan.resolve(sc.base + pv.first, pv.second);
-        es.comp[s] = final_label(sc.base + pu.first);
-        continue;
+        es.set_comp(s, final_label(sc.base + pu.first));
       }
-      const auto mbit = comp_base.find(comp);
-      if (mbit == comp_base.end()) continue;
-      machines_[m].jlog_edge_slot(s);
-      const std::size_t base = mbit->second;
-      if (es.tree[s] != 0) {
-        es.iu1[s] = plan.map_index(base, es.iu1[s]);
-        es.iu2[s] = plan.map_index(base, es.iu2[s]);
-        es.iv1[s] = plan.map_index(base, es.iv1[s]);
-        es.iv2[s] = plan.map_index(base, es.iv2[s]);
-      } else {
-        es.iu1[s] = plan.map_index(base, es.iu1[s]);
-        es.iv1[s] = plan.map_index(base, es.iv1[s]);
-      }
-      es.comp[s] = final_label(base);
-    }
-    for (auto& [v, rec] : machines_[m].vertices) {
-      const auto sit = splits.find(rec.comp);
-      if (sit != splits.end()) {
-        machines_[m].jlog_vertex(v, rec);
-        const SplitComp& sc = sit->second;
-        const etour::KWaySplit& sp = *sc.split;
-        std::size_t frag;
-        Word idx;
-        if (!sp.removed(rec.cached_idx)) {
-          frag = sp.fragment_of(rec.cached_idx);
-          idx = sp.new_index(rec.cached_idx);
-        } else {
-          const auto& fx = fixes.at(std::make_pair(rec.comp, v));
-          frag = fx.first;
-          idx = fx.second;
-        }
+      for (; lid_at < lid_end; ++lid_at) {
+        const std::uint32_t lid = lids[lid_at];
+        const VertexId v = vs.vertex_at(lid);
+        VertexRec rec = vs.rec(lid);
+        ms.jlog_vertex(v, rec);
+        const auto [frag, idx] = locate(v, rec.cached_idx);
         rec.cached_idx = plan.resolve(sc.base + frag, idx);
         rec.comp = final_label(sc.base + frag);
-        continue;
+        vs.set(lid, rec);
       }
-      const auto mbit = comp_base.find(rec.comp);
-      if (mbit == comp_base.end()) continue;
-      machines_[m].jlog_vertex(v, rec);
-      rec.cached_idx = plan.resolve(mbit->second, rec.cached_idx);
-      rec.comp = final_label(mbit->second);
     }
+    // Singleton merge endpoints: the join gives them their first
+    // appearance.
+    for (const Named& one : my_singles) {
+      VertexRec rec = vs.rec(one.id);
+      ms.jlog_vertex(vs.vertex_at(one.id), rec);
+      rec.cached_idx = plan.resolve(one.what, rec.cached_idx);
+      rec.comp = final_label(one.what);
+      vs.set(one.id, rec);
+    }
+    ms.commit_records += slots.size() + lids.size() + my_singles.size();
   });
-  // Cut records vanish, merge edges become tree records at their
-  // coordinators, and the directory applies the staged writes.
-  for (const CutInfo& ci : cuts) {
-    machines_[ops[ci.op].coord].jlog_edge(ops[ci.op].ekey);
-    machines_[ops[ci.op].coord].edges.erase(ops[ci.op].ekey);
-    release_edge_record(ops[ci.op].coord);
-  }
+  // Merge edges become tree records at their coordinators, and the
+  // directory applies the staged writes.
   for (const MergeApp& ma : mapply) {
     const BatchOp& op = ops[ma.op];
     const etour::MergeNewIndexes ni = plan.edge_indexes(ma.link_id);
@@ -2988,8 +3110,7 @@ void DynamicForest::apply_batch_dynamic(
     }
     pending.swap(rest);
   }
-  journal_commit();
-  cluster_->end_update();
+  close_update();
 } catch (...) {
   journal_rollback();
   throw;
@@ -3243,8 +3364,7 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch,
   if (pipeline && !lookahead.empty() && !carry_.has_value()) {
     ++batch_stats_.cross_batch_misses;
   }
-  journal_commit();
-  cluster_->end_update();
+  close_update();
 } catch (...) {
   journal_rollback();
   throw;
@@ -3259,8 +3379,9 @@ std::vector<VertexId> DynamicForest::component_snapshot() const {
   // write disjoint elements of `raw` and run on the installed executor.
   std::vector<Word> raw(config_.n);
   exec().run(machines_.size(), [&](std::size_t m) {
-    for (const auto& [v, rec] : machines_[m].vertices) {
-      raw[static_cast<std::size_t>(v)] = rec.comp;
+    const VertexShard& vs = machines_[m].vertices;
+    for (std::size_t lid = 0; lid < vs.size(); ++lid) {
+      raw[static_cast<std::size_t>(vs.vertex_at(lid))] = vs.rec(lid).comp;
     }
   });
   // Canonicalize to the smallest member vertex id.
@@ -3313,12 +3434,14 @@ bool DynamicForest::validate(std::string* why) const {
     if (why != nullptr) *why = msg;
     return false;
   };
-  // Phase 1 (pooled, per machine): each machine flattens its shard into
-  // plain vectors.  The serial machine-order merge below rebuilds the
-  // same global maps whichever executor ran the collection, so the
-  // verdict — and the failure message — is byte-identical under
-  // SerialExecutor and ThreadPoolExecutor.
+  // Phase 1 (pooled, per machine): each machine audits its component
+  // index against its own records and flattens its shard into plain
+  // vectors.  The serial machine-order merge below rebuilds the same
+  // global maps whichever executor ran the collection, so the verdict —
+  // and the failure message — is byte-identical under SerialExecutor and
+  // ThreadPoolExecutor.
   struct MachinePart {
+    bool index_ok = false;
     bool crossing = false;
     std::vector<std::pair<Word, std::pair<EdgeKey, etour::EdgeIndexes>>> tree;
     std::vector<EdgeRec> nontree;
@@ -3327,6 +3450,8 @@ bool DynamicForest::validate(std::string* why) const {
   exec().run(machines_.size(), [&](std::size_t m) {
     MachinePart& pt = parts[m];
     const EdgeShard& es = machines_[m].edges;
+    pt.index_ok =
+        es.index_matches() && machines_[m].vertices.index_matches();
     for (std::size_t i = 0; i < es.size(); ++i) {
       const EdgeRec rec = es.get(i);
       if (rec.crossing) {
@@ -3347,15 +3472,20 @@ bool DynamicForest::validate(std::string* why) const {
   std::map<Word, Word> dir;
   std::vector<EdgeRec> nontree;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
+    if (!parts[m].index_ok) {
+      return fail("component index out of sync on machine " +
+                  std::to_string(m));
+    }
     if (parts[m].crossing) return fail("unresolved crossing record");
     for (const auto& [comp, edge] : parts[m].tree) {
       comp_edges[comp][edge.first] = edge.second;
     }
     nontree.insert(nontree.end(), parts[m].nontree.begin(),
                    parts[m].nontree.end());
-    for (const auto& [v, rec] : machines_[m].vertices) {
-      vrecs[v] = rec;
-      comp_members[rec.comp].insert(v);
+    const VertexShard& vs = machines_[m].vertices;
+    for (std::size_t lid = 0; lid < vs.size(); ++lid) {
+      vrecs[vs.vertex_at(lid)] = vs.rec(lid);
+      comp_members[vs.rec(lid).comp].insert(vs.vertex_at(lid));
     }
     for (const auto& [c, s] : machines_[m].comp_sizes) dir[c] = s;
   }

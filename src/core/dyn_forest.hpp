@@ -54,7 +54,10 @@
 // executor (per-sender staging shards are merged deterministically at
 // the finish_round barrier).  Edge records are stored per machine in a
 // structure-of-arrays shard (EdgeShard) so those scans stream dense
-// columns instead of hash-map nodes, and the driver-side serial folds —
+// columns instead of hash-map nodes; a per-machine component index
+// (CompIndex) lets the transforms, the cascade, and the path-max and
+// replacement searches visit only the records of the components they
+// read or rewrite, and the driver-side serial folds —
 // per-update scan reductions, preprocessing's tour builds, validate()'s
 // full-tour walk, the snapshot helpers — also run on the installed
 // executor with deterministic merge order (byte-identical results under
@@ -316,14 +319,138 @@ class DynamicForest {
     Word cached_idx = etour::kNoIndex;
   };
 
-  /// Structure-of-arrays storage for one machine's edge records.  The
-  /// replacement-search and path-max scans walk the whole shard testing a
-  /// couple of fields per record; dense per-field columns let those scans
-  /// touch only the bytes they read (and vectorize) instead of striding
-  /// over hash-map nodes.  Slots are dense [0, size()); erase swap-removes
-  /// the last slot in, so slot order depends on the shard's full mutation
-  /// history — callers may rely on it only being identical across
-  /// executors (the mutation sequence is), never on any particular order.
+  /// One machine's component index over one record store: component id
+  /// -> the local ids (edge slots, or vertex-shard local ids) of that
+  /// component's records, as an intrusive doubly linked list threaded
+  /// through per-id link arrays, so attach, detach and renumber are O(1)
+  /// and a component costs one small hash node.  A transform visits
+  /// exactly the records of the components it rewrites.  The index
+  /// organizes records the machine already stores, like EdgeShard's key
+  /// index, so it is not charged to the DMPC memory meter.  Lists are
+  /// unordered; a component with no ids has no entry.
+  class CompIndex {
+   public:
+    static constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+
+    /// The ids of one component, in no particular order.  Mutating the
+    /// index invalidates the range.
+    class Ids {
+     public:
+      class It {
+       public:
+        It(const std::uint32_t* next, std::uint32_t id)
+            : next_(next), id_(id) {}
+        std::uint32_t operator*() const { return id_; }
+        It& operator++() {
+          id_ = next_[id_];
+          return *this;
+        }
+        bool operator!=(const It& o) const { return id_ != o.id_; }
+
+       private:
+        const std::uint32_t* next_;
+        std::uint32_t id_;
+      };
+      Ids(const std::uint32_t* next, std::uint32_t first)
+          : next_(next), first_(first) {}
+      [[nodiscard]] It begin() const { return {next_, first_}; }
+      [[nodiscard]] It end() const { return {next_, kEnd}; }
+
+     private:
+      const std::uint32_t* next_;
+      std::uint32_t first_;
+    };
+
+    [[nodiscard]] Ids of(Word comp) const {
+      const auto it = heads_.find(comp);
+      if (it == heads_.end()) return {next_.data(), kEnd};
+      return {next_.data(), it->second.first};
+    }
+    void attach(Word comp, std::uint32_t id) {
+      if (next_.size() <= id) {
+        next_.resize(std::size_t{id} + 1, kEnd);
+        prev_.resize(std::size_t{id} + 1, kEnd);
+      }
+      Head& h = heads_.try_emplace(comp, Head{kEnd, 0}).first->second;
+      next_[id] = h.first;
+      prev_[id] = kEnd;
+      if (h.first != kEnd) prev_[h.first] = id;
+      h.first = id;
+      ++h.size;
+    }
+    void detach(Word comp, std::uint32_t id) {
+      const auto it = heads_.find(comp);
+      Head& h = it->second;
+      if (prev_[id] != kEnd) {
+        next_[prev_[id]] = next_[id];
+      } else {
+        h.first = next_[id];
+      }
+      if (next_[id] != kEnd) prev_[next_[id]] = prev_[id];
+      if (--h.size == 0) heads_.erase(it);
+    }
+    /// The record indexed as `from` now lives at id `to` (a swap-remove
+    /// moved it); `to` must not be indexed.
+    void renumber(Word comp, std::uint32_t from, std::uint32_t to) {
+      next_[to] = next_[from];
+      prev_[to] = prev_[from];
+      if (prev_[to] != kEnd) {
+        next_[prev_[to]] = to;
+      } else {
+        heads_.find(comp)->second.first = to;
+      }
+      if (next_[to] != kEnd) prev_[next_[to]] = to;
+    }
+    void reserve(std::size_t ids) {
+      next_.reserve(ids);
+      prev_.reserve(ids);
+    }
+    /// Whether the index holds exactly the ids in [0, ids) for which
+    /// `comp_of(id)` returns a component, each under that component,
+    /// with consistent links.
+    template <class CompOf>
+    [[nodiscard]] bool matches(std::size_t ids, CompOf comp_of) const {
+      std::size_t listed = 0;
+      for (const auto& [comp, h] : heads_) {
+        std::size_t walked = 0;
+        std::uint32_t before = kEnd;
+        for (std::uint32_t id = h.first; id != kEnd; id = next_[id]) {
+          if (id >= ids || prev_[id] != before || ++walked > h.size) {
+            return false;
+          }
+          const std::optional<Word> c = comp_of(id);
+          if (!c.has_value() || *c != comp) return false;
+          before = id;
+        }
+        if (walked != h.size || walked == 0) return false;
+        listed += walked;
+      }
+      std::size_t indexed = 0;
+      for (std::size_t id = 0; id < ids; ++id) {
+        if (comp_of(static_cast<std::uint32_t>(id)).has_value()) ++indexed;
+      }
+      return listed == indexed;
+    }
+
+   private:
+    struct Head {
+      std::uint32_t first;
+      std::uint32_t size;
+    };
+    std::unordered_map<Word, Head> heads_;
+    std::vector<std::uint32_t> next_, prev_;  // per id; kEnd ends a list
+  };
+
+  /// Structure-of-arrays storage for one machine's edge records.  Scans
+  /// that test a couple of fields per record stream dense per-field
+  /// columns instead of striding over hash-map nodes; scans scoped to
+  /// known components (the transforms, the cascade, path-max and the
+  /// replacement searches) walk only those components' slots through the
+  /// shard's component index.  Slots are dense [0, size()); erase
+  /// swap-removes the last slot in, so slot order depends on the shard's
+  /// full mutation history — callers may rely on it only being identical
+  /// across executors (the mutation sequence is), never on any particular
+  /// order.
   class EdgeShard {
    public:
     static constexpr std::ptrdiff_t kNpos = -1;
@@ -335,10 +462,11 @@ class DynamicForest {
     /// batch doesn't pay rehash/regrow mid-round).
     void reserve(std::size_t n) {
       index_.reserve(n);
+      by_comp_.reserve(n);
       keys_.reserve(n);
       u.reserve(n);
       v.reserve(n);
-      comp.reserve(n);
+      comp_.reserve(n);
       w.reserve(n);
       iu1.reserve(n);
       iu2.reserve(n);
@@ -359,12 +487,32 @@ class DynamicForest {
       return index_.find(key) != index_.end();
     }
     [[nodiscard]] std::uint64_t key_at(std::size_t s) const { return keys_[s]; }
+    [[nodiscard]] Word comp_at(std::size_t s) const { return comp_[s]; }
+    /// The slots of component `c`'s records, in no particular order.
+    /// Mutating the shard invalidates the range.
+    [[nodiscard]] CompIndex::Ids slots_of(Word c) const {
+      return by_comp_.of(c);
+    }
+    /// Relabels slot `s`; the one writer of the component column.
+    void set_comp(std::size_t s, Word c) {
+      if (comp_[s] == c) return;
+      const auto id = static_cast<std::uint32_t>(s);
+      by_comp_.detach(comp_[s], id);
+      by_comp_.attach(c, id);
+      comp_[s] = c;
+    }
+    /// Whether the component index groups exactly this shard's slots.
+    [[nodiscard]] bool index_matches() const {
+      return by_comp_.matches(size(), [&](std::uint32_t s) {
+        return std::optional<Word>(comp_[s]);
+      });
+    }
 
     [[nodiscard]] EdgeRec get(std::size_t s) const {
       EdgeRec r;
       r.u = u[s];
       r.v = v[s];
-      r.comp = comp[s];
+      r.comp = comp_[s];
       r.tree = tree[s] != 0;
       r.w = w[s];
       r.iu1 = iu1[s];
@@ -380,7 +528,7 @@ class DynamicForest {
     void set(std::size_t s, const EdgeRec& r) {
       u[s] = r.u;
       v[s] = r.v;
-      comp[s] = r.comp;
+      set_comp(s, r.comp);
       tree[s] = r.tree ? 1 : 0;
       w[s] = r.w;
       iu1[s] = r.iu1;
@@ -399,11 +547,13 @@ class DynamicForest {
         set(it->second, r);
         return;
       }
-      index_.emplace(key, static_cast<std::uint32_t>(keys_.size()));
+      const auto slot = static_cast<std::uint32_t>(keys_.size());
+      index_.emplace(key, slot);
+      by_comp_.attach(r.comp, slot);
       keys_.push_back(key);
       u.push_back(r.u);
       v.push_back(r.v);
-      comp.push_back(r.comp);
+      comp_.push_back(r.comp);
       tree.push_back(r.tree ? 1 : 0);
       w.push_back(r.w);
       iu1.push_back(r.iu1);
@@ -421,12 +571,15 @@ class DynamicForest {
       if (it == index_.end()) return;
       const std::size_t s = it->second;
       index_.erase(it);
+      by_comp_.detach(comp_[s], static_cast<std::uint32_t>(s));
       const std::size_t last = keys_.size() - 1;
       if (s != last) {
+        by_comp_.renumber(comp_[last], static_cast<std::uint32_t>(last),
+                          static_cast<std::uint32_t>(s));
         keys_[s] = keys_[last];
         u[s] = u[last];
         v[s] = v[last];
-        comp[s] = comp[last];
+        comp_[s] = comp_[last];
         tree[s] = tree[last];
         w[s] = w[last];
         iu1[s] = iu1[last];
@@ -441,7 +594,7 @@ class DynamicForest {
       keys_.pop_back();
       u.pop_back();
       v.pop_back();
-      comp.pop_back();
+      comp_.pop_back();
       tree.pop_back();
       w.pop_back();
       iu1.pop_back();
@@ -455,16 +608,89 @@ class DynamicForest {
 
     // The columns, slot-indexed.  Mutators above keep them parallel;
     // transform loops (apply_merge_local / apply_split_local) write the
-    // index columns in place.
+    // index columns in place.  The component column is private: it is
+    // written only through set_comp / set / put, which keep by_comp_
+    // exact.
     std::vector<VertexId> u, v;
-    std::vector<Word> comp;
     std::vector<Weight> w;
     std::vector<Word> iu1, iu2, iv1, iv2;
     std::vector<std::uint8_t> tree, crossing, u_in_subtree, v_in_subtree;
 
    private:
+    std::vector<Word> comp_;
     std::vector<std::uint64_t> keys_;
     std::unordered_map<std::uint64_t, std::uint32_t> index_;
+    CompIndex by_comp_;
+  };
+
+  /// One machine's vertex records, stored densely: machine m hosts the
+  /// vertices v = m, m + mu, m + 2mu, ... (vertex_machine), at local id
+  /// v / mu.  Non-singleton vertices (cached tour index set) are grouped
+  /// by component in the machine's component index; a singleton's one
+  /// vertex stays out of it, because every op that touches a singleton
+  /// names that vertex (merge endpoints x/y, cut parent/child).
+  class VertexShard {
+   public:
+    /// Machine `m` of `mu` hosting vertices [0, n): every vertex starts
+    /// as its own singleton component (comp = v, no tour index).
+    void init(std::size_t m, std::size_t mu, std::size_t n) {
+      first_ = m;
+      stride_ = mu;
+      const std::size_t count = n > m ? (n - m + mu - 1) / mu : 0;
+      recs_.resize(count);
+      for (std::size_t lid = 0; lid < count; ++lid) {
+        recs_[lid] = VertexRec{static_cast<Word>(vertex_at(lid)),
+                               etour::kNoIndex};
+      }
+      by_comp_.reserve(count);
+    }
+    [[nodiscard]] std::size_t size() const { return recs_.size(); }
+    [[nodiscard]] VertexId vertex_at(std::size_t lid) const {
+      return static_cast<VertexId>(lid * stride_ + first_);
+    }
+    [[nodiscard]] std::size_t lid_of(VertexId v) const {
+      return static_cast<std::size_t>(v) / stride_;
+    }
+    [[nodiscard]] const VertexRec& rec(std::size_t lid) const {
+      return recs_[lid];
+    }
+    /// Record of hosted vertex `v` (throws std::out_of_range past n).
+    [[nodiscard]] const VertexRec& at(VertexId v) const {
+      return recs_.at(lid_of(v));
+    }
+    [[nodiscard]] bool hosts(VertexId v) const {
+      return static_cast<std::size_t>(v) % stride_ == first_ &&
+             lid_of(v) < recs_.size();
+    }
+    /// The one writer of vertex records; keeps the index exact.
+    void set(std::size_t lid, const VertexRec& r) {
+      const VertexRec& old = recs_[lid];
+      const auto id = static_cast<std::uint32_t>(lid);
+      const bool was = old.cached_idx != etour::kNoIndex;
+      const bool is = r.cached_idx != etour::kNoIndex;
+      if (was && (!is || old.comp != r.comp)) by_comp_.detach(old.comp, id);
+      if (is && (!was || old.comp != r.comp)) by_comp_.attach(r.comp, id);
+      recs_[lid] = r;
+    }
+    /// Local ids of component `c`'s non-singleton vertices, in no
+    /// particular order.  Mutating the shard invalidates the range.
+    [[nodiscard]] CompIndex::Ids lids_of(Word c) const {
+      return by_comp_.of(c);
+    }
+    /// Whether the index groups exactly the non-singleton vertices.
+    [[nodiscard]] bool index_matches() const {
+      return by_comp_.matches(size(), [&](std::uint32_t lid) {
+        const VertexRec& r = recs_[lid];
+        return r.cached_idx == etour::kNoIndex ? std::nullopt
+                                               : std::optional<Word>(r.comp);
+      });
+    }
+
+   private:
+    std::size_t first_ = 0;
+    std::size_t stride_ = 1;
+    std::vector<VertexRec> recs_;
+    CompIndex by_comp_;
   };
 
   /// One machine's undo journal: pre-images appended right before each
@@ -502,8 +728,17 @@ class DynamicForest {
 
   struct MachineState {
     EdgeShard edges;
-    std::unordered_map<VertexId, VertexRec> vertices;
+    VertexShard vertices;
     std::unordered_map<Word, Word> comp_sizes;  // directory shard
+    // Edge slots and vertex local ids a transform is about to rewrite,
+    // copied out of the component index first (a relabel moves records
+    // between index lists).  Kept as arenas across transforms.
+    std::vector<std::uint32_t> slot_scratch;
+    std::vector<std::uint32_t> lid_scratch;
+    std::vector<std::uint32_t> end_scratch;
+    // Records visited by the local transforms since the last update
+    // closed; folded into BatchScheduleStats::commit_records.
+    std::uint64_t commit_records = 0;
     // Undo journal (see MachineJournal).  Written only by this machine's
     // round task or by the orchestrator between barriers — exactly the
     // executor contract the rest of the machine state lives under — so
@@ -890,6 +1125,10 @@ class DynamicForest {
   /// Disarms the journals after a successful update (the logs are kept
   /// as arenas for the next one).
   void journal_commit();
+  /// Closes a successful update: folds the machines' transform visit
+  /// counts into batch_stats_, commits the journal, ends the metrics
+  /// bracket.
+  void close_update();
   /// Rolls everything back after a mid-protocol throw: replays every
   /// machine's journal in reverse, restores the meters and scalars,
   /// drops the carried speculation and the round buffer's staged/inbox

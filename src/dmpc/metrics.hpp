@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -140,6 +139,11 @@ struct BatchScheduleStats {
   /// chain on one edge whose net effect is a no-op (or collapses to a
   /// single effective update) skips the protocol entirely.
   std::uint64_t elided_updates = 0;
+  /// Records (edge slots plus vertex records, summed over machines) the
+  /// local transforms visited: k-way commits and the merge/split
+  /// transforms.  Each visits only the records of the components it
+  /// rewrites, so this grows with the touched components, not with n.
+  std::uint64_t commit_records = 0;
 
   [[nodiscard]] double mean_group_size() const {
     return groups == 0 ? 0.0
@@ -284,10 +288,18 @@ class Metrics {
   }
 
   /// Hot path: called once per delivered message at the round barrier,
-  /// so the histogram lives in a hash map keyed on the packed pair; the
-  /// ordered view callers see is built on demand by pair_traffic().
+  /// so the histogram is dense: one row per sender, allocated by the
+  /// sender's first message and grown to its highest receiver (a
+  /// broadcast fills a row front to back).  At most mu^2 counters,
+  /// against a hash node per pair; the ordered view callers see is built
+  /// on demand by pair_traffic().
   void record_pair_traffic(MachineId from, MachineId to, WordCount words) {
-    pair_traffic_[pack_pair(from, to)] += words;
+    if (pair_traffic_.size() <= from) {
+      pair_traffic_.resize(static_cast<std::size_t>(from) + 1);
+    }
+    std::vector<WordCount>& row = pair_traffic_[from];
+    if (row.size() <= to) row.resize(static_cast<std::size_t>(to) + 1, 0);
+    row[to] += words;
   }
 
   [[nodiscard]] const std::vector<RoundRecord>& rounds() const {
@@ -325,11 +337,6 @@ class Metrics {
   void reset();
 
  private:
-  static std::uint64_t pack_pair(MachineId from, MachineId to) {
-    return (static_cast<std::uint64_t>(from) << 32) |
-           static_cast<std::uint64_t>(to);
-  }
-
   std::vector<RoundRecord> rounds_;
   UpdateRecord current_{};
   UpdateRecord last_update_{};
@@ -339,7 +346,7 @@ class Metrics {
   UpdateAggregate aggregate_{};
   QueryAggregate query_agg_{};
   AbortAggregate abort_agg_{};
-  std::unordered_map<std::uint64_t, WordCount> pair_traffic_;
+  std::vector<std::vector<WordCount>> pair_traffic_;  // [from][to]
 };
 
 }  // namespace dmpc

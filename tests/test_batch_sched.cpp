@@ -205,6 +205,9 @@ TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
   EXPECT_EQ(ss.cascade_rounds, ps.cascade_rounds) << "seed " << seed;
   EXPECT_EQ(ss.cascade_links, ps.cascade_links) << "seed " << seed;
   EXPECT_EQ(ss.elided_updates, ps.elided_updates) << "seed " << seed;
+  // Transform visits (both policies): the component index hands each
+  // machine the same records whichever executor runs it.
+  EXPECT_EQ(ss.commit_records, ps.commit_records) << "seed " << seed;
 }
 
 std::vector<StressCase> stress_cases(core::BatchPolicy policy) {

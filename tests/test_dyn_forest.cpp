@@ -10,6 +10,8 @@
 
 #include <array>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/dyn_forest.hpp"
 #include "graph/generators.hpp"
@@ -185,6 +187,36 @@ TEST(DynForestBounds, MemoryFitsInMachineCap) {
   const auto hw = forest.cluster().max_memory_high_water();
   EXPECT_LE(hw, forest.cluster().machine_capacity());
   EXPECT_LT(hw, static_cast<dmpc::WordCount>(n + 4 * n));  // << N words
+}
+
+TEST(DynForestBounds, CommitWorkIsProportionalToTouchedComponents) {
+  // The k-way commit and the local transforms visit only the records of
+  // the components a batch rewrites (found through each machine's
+  // component index), never a whole shard: the same batch visits the
+  // same records at n = 2^10 and n = 2^14, and no more than the touched
+  // components hold.
+  const auto visits = [](std::size_t n) {
+    DynamicForest forest({.n = n, .m_cap = 4 * n});
+    // Components {0..3} (path), {4,5,6} (path), {8..11} (path 8-9-10-11
+    // plus the chord (8,10), the replacement for a cut of (9,10)).
+    forest.preprocess(graph::EdgeList{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6},
+                                      {8, 9}, {9, 10}, {10, 11}, {8, 10}});
+    const std::uint64_t before = forest.batch_stats().commit_records;
+    const std::vector<Update> batch = {{UpdateKind::kInsert, 3, 4},
+                                       {UpdateKind::kDelete, 9, 10}};
+    forest.apply_batch(batch);
+    std::string why;
+    EXPECT_TRUE(forest.validate(&why)) << why;
+    EXPECT_TRUE(forest.connected(0, 6));
+    EXPECT_TRUE(forest.connected(9, 11));
+    return forest.batch_stats().commit_records - before;
+  };
+  const std::uint64_t small = visits(1u << 10);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, visits(1u << 14));
+  // Records of the touched components before the batch: 4 + 3 + 4
+  // vertices, 3 + 2 + 4 edges.
+  EXPECT_LE(small, 11u + 9u);
 }
 
 TEST(DynMstBasic, MaintainsExactMsfWeightWithTinyEps) {

@@ -219,6 +219,78 @@ TEST(FaultSweep, SerialEraseRollsBack) {
   EXPECT_TRUE(forest.connected(0, 1));
 }
 
+// A fault in the k-way commit's transform dispatch lands after the
+// stage's swap-removes (a non-tree deletion behind round 1, the cut
+// records before the commit), so rollback re-inserts those records in a
+// different slot order.  The per-machine component index must come back
+// exact (validate() audits it), and the next batch must behave exactly
+// as on a twin that never saw the failed batch.
+TEST(FaultSweep, CommitFaultAfterSwapRemovesKeepsIndexExact) {
+  const DynForestConfig config{.n = 32, .m_cap = 160};
+  // Component A: path 0..9 with chords; B: path 10..15 with chords;
+  // C: path 16..19.
+  graph::EdgeList edges;
+  for (VertexId v = 0; v < 9; ++v) edges.emplace_back(v, v + 1);
+  for (VertexId v = 10; v < 15; ++v) edges.emplace_back(v, v + 1);
+  for (VertexId v = 16; v < 19; ++v) edges.emplace_back(v, v + 1);
+  for (const auto& chord : graph::EdgeList{
+           {0, 2}, {2, 4}, {4, 6}, {3, 7}, {10, 12}, {11, 14}}) {
+    edges.push_back(chord);
+  }
+  // One k-way stage: two cuts in A (the cascade relinks through the
+  // chords), a non-tree deletion in B, a merge of C with singleton 25.
+  const std::vector<Update> failing = {{UpdateKind::kDelete, 3, 4},
+                                       {UpdateKind::kDelete, 6, 7},
+                                       {UpdateKind::kDelete, 10, 12},
+                                       {UpdateKind::kInsert, 19, 25}};
+  const std::vector<Update> next = {{UpdateKind::kDelete, 1, 2},
+                                    {UpdateKind::kDelete, 12, 13},
+                                    {UpdateKind::kInsert, 9, 16}};
+  const auto make = [&] {
+    auto forest = std::make_unique<DynamicForest>(config);
+    forest->preprocess(edges);
+    return forest;
+  };
+
+  // The failing batch's last dispatch is its commit transform: count the
+  // dispatches of a fault-free run.
+  std::uint64_t dispatches = 0;
+  {
+    auto probe = make();
+    auto counter = std::make_shared<FaultInjector>();
+    probe->cluster().set_fault_injector(counter);
+    const std::uint64_t before = counter->task_calls_observed();
+    probe->apply_batch(failing);
+    dispatches = counter->task_calls_observed() - before;
+    ASSERT_EQ(probe->batch_stats().stages, 1u);
+  }
+  ASSERT_GE(dispatches, 1u);
+
+  auto forest = make();
+  auto twin = make();
+  const ForestState before = capture(*forest);
+  auto faults = std::make_shared<FaultInjector>();
+  forest->cluster().set_fault_injector(faults);
+  faults->fail_in_task(dispatches - 1, /*machine=*/3);
+  EXPECT_ANY_THROW(forest->apply_batch(failing));
+  ASSERT_TRUE(faults->fired());
+  std::string why;
+  ASSERT_TRUE(forest->validate(&why)) << why;
+  ASSERT_EQ(capture(*forest), before);
+  // The rollback really re-inserted records: slot order moved.
+  EXPECT_NE(forest->tree_edges(), twin->tree_edges());
+
+  forest->apply_batch(next);
+  twin->apply_batch(next);
+  const dmpc::UpdateRecord& got = forest->cluster().metrics().last_update();
+  const dmpc::UpdateRecord& want = twin->cluster().metrics().last_update();
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.total_comm_words, want.total_comm_words);
+  EXPECT_EQ(capture(*forest), capture(*twin));
+  EXPECT_EQ(forest->component_snapshot(), twin->component_snapshot());
+  ASSERT_TRUE(forest->validate(&why)) << why;
+}
+
 // With atomic_updates off the journal never arms and the fault-free
 // behavior is unchanged.
 TEST(FaultSweep, AtomicUpdatesOffStillCommitsCleanly) {
