@@ -80,13 +80,11 @@ inline void write_trace(const dmpc::Tracer& tracer, const std::string& path) {
   std::printf(")\n");
   for (std::size_t p = 0; p < dmpc::kTracePhaseCount; ++p) {
     const dmpc::PhaseTotals& t = tracer.phase_totals()[p];
-    if (t.spans == 0 && t.rounds + t.overlapped_rounds + t.charged_rounds == 0)
-      continue;
+    if (t.spans == 0 && t.rounds + t.charged_rounds == 0) continue;
     std::printf("  %-18s spans=%-6llu rounds=%-8llu wall=%8.3f ms (%.1f%%)\n",
                 dmpc::trace_phase_name(static_cast<dmpc::TracePhase>(p)),
                 static_cast<unsigned long long>(t.spans),
-                static_cast<unsigned long long>(t.rounds + t.overlapped_rounds +
-                                                t.charged_rounds),
+                static_cast<unsigned long long>(t.rounds + t.charged_rounds),
                 static_cast<double>(t.wall_ns) / 1e6,
                 sum_wall == 0 ? 0.0
                               : 100.0 * static_cast<double>(t.wall_ns) /
@@ -201,7 +199,8 @@ inline double rounds_per_update(const harness::DriverReport& report,
 /// aggregate: total and per-update rounds (the round-sharing win), the
 /// total communication, and — for algorithms with a batch scheduler —
 /// how the batches were partitioned (groups per batch, out-of-order
-/// executions, serial fallbacks, grouped tree deletions).
+/// executions, serial fallbacks, grouped tree deletions, and the
+/// batch-dynamic stages, k-way transforms, cascades and elisions).
 inline void print_batch_row(const harness::DriverReport& report,
                             const std::string& name, const char* note) {
   const harness::AlgorithmStats* stats = report.find(name);
@@ -213,22 +212,14 @@ inline void print_batch_row(const harness::DriverReport& report,
       stats->batched ? stats->batch_agg : stats->agg;
   std::string full_note = note;
   if (stats->scheduled) {
-    char sched[224];
+    char sched[128];
     std::snprintf(
         sched, sizeof sched,
-        " | grp/batch=%.1f reord=%llu serial=%llu sdel=%llu pmax=%llu "
-        "pipe=%llu/%llu xb=%llu/%llu",
+        " | grp/batch=%.1f reord=%llu serial=%llu sdel=%llu",
         stats->sched.groups_per_batch(),
         static_cast<unsigned long long>(stats->sched.reordered_updates),
         static_cast<unsigned long long>(stats->sched.serial_updates),
-        static_cast<unsigned long long>(stats->sched.batched_tree_deletes),
-        static_cast<unsigned long long>(stats->sched.path_max_grouped),
-        static_cast<unsigned long long>(stats->sched.waves_pipelined),
-        static_cast<unsigned long long>(stats->sched.waves_pipelined +
-                                        stats->sched.speculation_misses),
-        static_cast<unsigned long long>(stats->sched.batches_pipelined),
-        static_cast<unsigned long long>(stats->sched.batches_pipelined +
-                                        stats->sched.cross_batch_misses));
+        static_cast<unsigned long long>(stats->sched.batched_tree_deletes));
     full_note += sched;
     if (stats->sched.stages > 0) {
       // Batch-dynamic protocol rows: stages run, k-way transforms, the
@@ -287,12 +278,7 @@ inline bool batched_json_row(JsonReport& json,
           .u64("serial_updates", stats->sched.serial_updates)
           .u64("batched_tree_deletes", stats->sched.batched_tree_deletes)
           .u64("path_max_grouped", stats->sched.path_max_grouped)
-          .u64("waves_pipelined", stats->sched.waves_pipelined)
-          .u64("speculation_misses", stats->sched.speculation_misses)
           .u64("deferred_updates", stats->sched.deferred_updates)
-          .u64("batches_pipelined", stats->sched.batches_pipelined)
-          .u64("cross_batch_misses", stats->sched.cross_batch_misses)
-          .num("pipeline_hit_rate", stats->sched.pipeline_hit_rate())
           .u64("stages", stats->sched.stages)
           .u64("kway_splits", stats->sched.kway_splits)
           .u64("kway_joins", stats->sched.kway_joins)

@@ -56,13 +56,7 @@ int main() {
     report("maximal matching (coord)", mm.cluster());
   }
   {
-    // Pin the batch policy the docs describe (it is also the config
-    // default, but the entropy profile differs per policy, so the bench
-    // must not drift if the default ever changes).
-    core::DynamicForest forest(
-        {.n = n,
-         .m_cap = m_cap,
-         .batch_policy = core::BatchPolicy::kBatchDynamic});
+    core::DynamicForest forest({.n = n, .m_cap = m_cap});
     forest.preprocess(graph::cycle(n));
     forest.cluster().metrics().reset();
     // The stream must outlast the adversary's build phase (n-1 path edges

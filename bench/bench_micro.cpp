@@ -7,20 +7,24 @@
 //     machine tasks under SerialExecutor vs ThreadPoolExecutor — the
 //     wake/join cost every DynamicForest round pays;
 //   * the pooled batched-update path at n = 2^17: the same adversarial
-//     delete/re-insert stream applied through apply_batch under the
-//     serial executor, a 1-thread pool and a pool sized to the machine
-//     (std::thread::hardware_concurrency()).  The 1-vs-max-thread ratio
-//     is the wall-clock speedup row; rounds, communication, scheduler
-//     counters and the forest weight must be byte-identical across all
-//     three executors (that is the determinism contract of the pooled
-//     folds), and `--check` makes a mismatch fatal.
+//     delete/re-insert churn on a cycle's edges applied through
+//     apply_batch under the serial executor, a 1-thread pool and a pool
+//     sized to the machine (std::thread::hardware_concurrency()).  The
+//     1-vs-max-thread ratio is the wall-clock speedup row; rounds,
+//     communication, scheduler counters and the forest weight must be
+//     byte-identical across all three executors (that is the
+//     determinism contract of the pooled folds), and `--check` makes a
+//     mismatch fatal, as it does a run that does no protocol work (0
+//     rounds) or falls back to serial updates.
 //
 // `--json BENCH_micro.json` writes the rows for the CI bench-trend gate,
 // including the detected core count: the gate skips wall-clock
 // comparisons between runs whose core counts differ (a runner-hardware
 // change is not a regression).
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <random>
 #include <span>
 #include <thread>
 
@@ -47,8 +51,39 @@ double executor_round_seconds(dmpc::RoundExecutor& exec, std::size_t count,
   });
 }
 
-/// One full pooled-forest run: preprocess a cycle, then apply the
-/// adversarial tail of the stream in batches under `exec`.
+/// The churn the forest rows apply to a preprocessed n-cycle: each pair
+/// of batches deletes `batch` distinct cycle-path edges (u, u+1), then
+/// re-inserts them.  A deletion and its re-insertion land in different
+/// batches, so net-op compression cannot elide them: the deletion batch
+/// is one k-way split plus a replacement cascade across every machine,
+/// the re-insertion batch one k-way join.
+graph::UpdateStream split_churn_stream(std::size_t n, std::size_t updates,
+                                       std::size_t batch,
+                                       std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<graph::VertexId> pick(
+      0, static_cast<graph::VertexId>(n) - 2);
+  graph::UpdateStream out;
+  out.reserve(updates);
+  std::vector<graph::VertexId> cut;
+  while (out.size() + 2 * batch <= updates) {
+    cut.clear();
+    while (cut.size() < batch) {
+      const graph::VertexId u = pick(rng);
+      if (std::ranges::find(cut, u) == cut.end()) cut.push_back(u);
+    }
+    for (const graph::VertexId u : cut) {
+      out.push_back({graph::UpdateKind::kDelete, u, u + 1, 1});
+    }
+    for (const graph::VertexId u : cut) {
+      out.push_back({graph::UpdateKind::kInsert, u, u + 1, 1});
+    }
+  }
+  return out;
+}
+
+/// One full pooled-forest run: preprocess a cycle, then apply the churn
+/// stream in batches under `exec`.
 struct ForestRun {
   double preprocess_seconds = 0;
   double update_seconds = 0;
@@ -62,14 +97,7 @@ ForestRun run_forest(const std::shared_ptr<dmpc::RoundExecutor>& exec,
                      const graph::UpdateStream& stream,
                      bool with_disabled_tracer = false) {
   ForestRun out;
-  // Pinned to the wave scheduler: this bench measures the executor's
-  // cost on the replacement-scan rounds the pool parallelizes.  The
-  // batch-dynamic default would net-op-compress the adversary's
-  // delete/re-insert pairs away entirely (0 rounds — see bench_table1's
-  // bdyn rows for that protocol's wall-clock), leaving nothing to time.
-  core::DynamicForest forest({.n = kForestN,
-                              .m_cap = 4 * kForestN,
-                              .batch_policy = core::BatchPolicy::kWave});
+  core::DynamicForest forest({.n = kForestN, .m_cap = 4 * kForestN});
   forest.cluster().set_executor(exec);
   // Installed-but-disabled: the per-barrier cost every traced build pays
   // even when no one is tracing — the off-path overhead contract.
@@ -80,11 +108,10 @@ ForestRun run_forest(const std::shared_ptr<dmpc::RoundExecutor>& exec,
       bench::timed_seconds([&] { forest.preprocess(graph::cycle(kForestN)); });
   // Separate the update phase from preprocessing in the aggregate.
   forest.cluster().metrics().reset();
-  const std::size_t start = stream.size() - kForestUpdates;
   out.update_seconds = bench::timed_seconds([&] {
     for (std::size_t i = 0; i < kForestUpdates; i += kForestBatch) {
-      forest.apply_batch(std::span<const graph::Update>(
-          stream.data() + start + i, kForestBatch));
+      forest.apply_batch(
+          std::span<const graph::Update>(stream.data() + i, kForestBatch));
     }
   });
   const dmpc::UpdateAggregate& agg = forest.cluster().metrics().aggregate();
@@ -110,15 +137,12 @@ TraceAB paired_trace_overhead(const graph::UpdateStream& stream,
   // batch: comparing two forest instances instead picks up their
   // allocation-layout difference (measured at ±5% — bigger than the
   // budget), while here everything but the tracer install is shared.
-  core::DynamicForest forest({.n = kForestN,
-                              .m_cap = 4 * kForestN,
-                              .batch_policy = core::BatchPolicy::kWave});
+  core::DynamicForest forest({.n = kForestN, .m_cap = 4 * kForestN});
   forest.cluster().set_executor(std::make_shared<dmpc::SerialExecutor>());
   const auto tracer = std::make_shared<dmpc::Tracer>();
   forest.preprocess(graph::cycle(kForestN));
-  const std::size_t start = stream.size() - kForestUpdates;
   for (std::size_t i = 0; i < kForestUpdates; i += kForestBatch) {
-    const std::span<const graph::Update> batch(stream.data() + start + i,
+    const std::span<const graph::Update> batch(stream.data() + i,
                                                kForestBatch);
     const bool traced =
         ((i / kForestBatch) % 2 == 0) == traced_even_batches;
@@ -146,10 +170,13 @@ bool matches_serial(const ForestRun& run, const ForestRun& serial) {
          run.sched.max_group == serial.sched.max_group &&
          run.sched.path_max_grouped == serial.sched.path_max_grouped &&
          run.sched.deferred_updates == serial.sched.deferred_updates &&
-         run.sched.waves_pipelined == serial.sched.waves_pipelined &&
-         run.sched.speculation_misses == serial.sched.speculation_misses &&
-         run.sched.batches_pipelined == serial.sched.batches_pipelined &&
-         run.sched.cross_batch_misses == serial.sched.cross_batch_misses;
+         run.sched.stages == serial.sched.stages &&
+         run.sched.kway_splits == serial.sched.kway_splits &&
+         run.sched.kway_joins == serial.sched.kway_joins &&
+         run.sched.cascade_rounds == serial.sched.cascade_rounds &&
+         run.sched.cascade_links == serial.sched.cascade_links &&
+         run.sched.elided_updates == serial.sched.elided_updates &&
+         run.sched.commit_records == serial.sched.commit_records;
 }
 
 void forest_json_row(bench::JsonReport& json, const std::string& name,
@@ -192,12 +219,11 @@ int main(int argc, char** argv) {
   }
 
   // --- Pooled batched-update path at n = 2^17 ---------------------------
-  // The adversarial tail deletes spanning-tree edges and re-inserts them,
-  // so every update drives replacement-edge scans across all ~sqrt(5n)
-  // machines — the per-round work the pool parallelizes.
-  const auto stream = graph::clean_stream(
-      kForestN, graph::bridge_adversary_stream(
-                    kForestN, (kForestN - 1) + kForestUpdates + 1, 0, 1));
+  // The churn deletes spanning-tree edges and re-inserts them, so every
+  // batch drives transform and replacement-scan work across all
+  // ~sqrt(5n) machines — the per-round work the pool parallelizes.
+  const auto stream =
+      split_churn_stream(kForestN, kForestUpdates, kForestBatch, 1);
 
   // Size the wide pool to the machine instead of a hardcoded 8: CI
   // runners and dev boxes differ, and the trend gate compares wall-clock
@@ -240,6 +266,16 @@ int main(int argc, char** argv) {
                          "the serial executor\n");
     ok = false;
   }
+  // The rows must time real protocol work: a stream the batch protocol
+  // elides (0 rounds) or a serial fallback would make them measure
+  // something else.
+  if (serial.total_rounds == 0 || serial.sched.serial_updates != 0) {
+    std::fprintf(stderr, "forest rows ran %llu rounds with %llu serial "
+                         "updates (want > 0 rounds, 0 serial)\n",
+                 static_cast<unsigned long long>(serial.total_rounds),
+                 static_cast<unsigned long long>(serial.sched.serial_updates));
+    ok = false;
+  }
 
   // Stable row names (the thread count is a field, not part of the
   // name) so the trend gate keeps matching rows across machines.
@@ -264,7 +300,7 @@ int main(int argc, char** argv) {
   // tracer install per BATCH within one forest run: every batch of the
   // same instance is timed separately with the disabled tracer
   // installed on odd or even batches, so any drift slower than one
-  // ~100 ms batch hits both modes equally and cancels, and there is no
+  // ~40 ms batch hits both modes equally and cancels, and there is no
   // second forest instance to contribute a layout bias.  Two passes
   // with the parity crossed (odd-traced, then even-traced), per-mode
   // sums over both — a systematically heavier parity class lands on

@@ -83,9 +83,9 @@ void print_series(const char* name, std::size_t n,
       .flag("within_budget", ok);
 }
 
-/// Batched connectivity on a thread-pool executor: the out-of-order
-/// scheduler shares protocol rounds between independent updates (tree
-/// deletions included), so rounds/update drops below the per-update
+/// Batched connectivity on a thread-pool executor: apply_batch shares
+/// protocol rounds between the updates of a batch (tree deletions
+/// included), so rounds/update stays far below the per-update
 /// protocol's constant as N grows while the state stays byte-identical
 /// to the serial run.  `wall_seconds` times only the updates: the
 /// forest is validated after the timer stops, and a failed validation

@@ -154,7 +154,6 @@ JournalOverhead measure_journal_overhead(std::size_t n) {
     core::DynamicForest forest(
         {.n = n,
          .m_cap = std::size_t{1} << 16,
-         .batch_policy = core::BatchPolicy::kBatchDynamic,
          .atomic_updates = atomic});
     forest.preprocess(graph::EdgeList{});
     return bench::timed_seconds([&] {
@@ -188,10 +187,7 @@ int main(int argc, char** argv) {
   traffic.seed = 7;
   const graph::MixedStream stream = graph::zipfian_serving_stream(traffic);
 
-  core::DynamicForest forest(
-      {.n = traffic.n,
-       .m_cap = std::size_t{1} << 16,
-       .batch_policy = core::BatchPolicy::kBatchDynamic});
+  core::DynamicForest forest({.n = traffic.n, .m_cap = std::size_t{1} << 16});
   forest.preprocess(graph::EdgeList{});
   forest.cluster().metrics().reset();
 
@@ -270,8 +266,7 @@ int main(int argc, char** argv) {
     ftraffic.query_fraction = 0.70;
     const graph::MixedStream fstream = graph::zipfian_serving_stream(ftraffic);
     core::DynamicForest ff({.n = ftraffic.n,
-                            .m_cap = std::size_t{1} << 16,
-                            .batch_policy = core::BatchPolicy::kBatchDynamic});
+                            .m_cap = std::size_t{1} << 16});
     ff.preprocess(graph::EdgeList{});
     ff.cluster().set_fault_injector(std::make_shared<dmpc::FaultInjector>(
         args.faults_seed, /*rate=*/0.002));
@@ -311,8 +306,7 @@ int main(int argc, char** argv) {
     ttraffic.length = 200'000;
     const graph::MixedStream tstream = graph::zipfian_serving_stream(ttraffic);
     core::DynamicForest tf({.n = ttraffic.n,
-                            .m_cap = std::size_t{1} << 16,
-                            .batch_policy = core::BatchPolicy::kBatchDynamic});
+                            .m_cap = std::size_t{1} << 16});
     tf.preprocess(graph::EdgeList{});
     const auto tracer = std::make_shared<dmpc::Tracer>();
     tf.cluster().set_tracer(tracer);

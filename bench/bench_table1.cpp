@@ -2,7 +2,7 @@
 // (rounds, active machines per round, communication per round) of every
 // dynamic DMPC algorithm, measured on adversarial update streams, plus
 // the three rows obtained through the Section 7 reduction and a batched
-// section comparing apply_batch's scheduling policies.
+// section comparing apply_batch against per-update application.
 //
 // Expected shapes (N = n + m):
 //   maximal matching      O(1) rounds, O(1) machines, O(sqrt N) comm
@@ -202,13 +202,11 @@ int main(int argc, char** argv) {
                      "O~(1) amort. | O(1) | O(1)");
   }
 
-  // Batched + parallel execution: the same connectivity workloads driven
-  // per update (the serial baseline), with the PR 2 prefix-only planner,
-  // and with the out-of-order batch scheduler — plus the scheduler on a
-  // thread-pool executor (identical rounds; the executor changes
-  // wall-clock, never accounting).  The delete-heavy interleaved stream
-  // is the adversarial case for the prefix planner: every burst is a set
-  // of independent tree-edge deletions it must serialize.
+  // Batched execution: the same connectivity workloads driven per update
+  // (the serial baseline) and through apply_batch at batch = 16.  The
+  // delete-heavy interleaved stream's bursts are sets of tree-edge
+  // deletions, which a batch runs as one k-way split per component, one
+  // replacement cascade and one k-way join.
   bench::print_batch_header(
       "batched connectivity (independent updates share rounds)");
   // --trace: every batched row below runs instrumented and lands on one
@@ -225,103 +223,41 @@ int main(int argc, char** argv) {
     tracer->set_enabled(true);
   };
   auto run_connectivity = [&](std::size_t batch_size,
-                              harness::ExecutorKind executor,
-                              core::BatchPolicy policy,
                               const graph::UpdateStream& stream,
                               double* wall_seconds) {
-    core::DynamicForest forest(
-        {.n = kN, .m_cap = kMCap, .batch_policy = policy});
+    core::DynamicForest forest({.n = kN, .m_cap = kMCap});
     forest.preprocess(graph::EdgeList{});
-    harness::DriverConfig config{.batch_size = batch_size,
-                                 .checkpoint_every = 0};
-    config.executor = executor;
-    harness::Driver driver(kN, config);
+    harness::Driver driver(kN, {.batch_size = batch_size,
+                                .checkpoint_every = 0});
     driver.add("connectivity", forest);
     install_tracer(forest, driver);
     *wall_seconds = bench::timed_seconds([&] { driver.run(stream); });
     return driver.report();
   };
-  using harness::ExecutorKind;
-  using core::BatchPolicy;
   const auto random_stream = graph::random_stream(kN, 2000, 0.75, 8);
   const auto delete_stream =
       graph::interleaved_delete_stream(kN, 2000, 8, 2, 9);
   double wall = 0;
   {
-    const auto& r = run_connectivity(1, ExecutorKind::kSerial,
-                                     BatchPolicy::kWave, random_stream,
-                                     &wall);
+    const auto& r = run_connectivity(1, random_stream, &wall);
     bench::print_batch_row(r, "connectivity", "random, serial baseline");
     gate_batched_row(json, r, "connectivity", "connectivity random serial",
                      0.0, wall);
   }
   {
-    const auto& r = run_connectivity(16, ExecutorKind::kSerial,
-                                     BatchPolicy::kPrefix, random_stream,
-                                     &wall);
-    bench::print_batch_row(r, "connectivity", "random, batch=16 prefix");
-    gate_batched_row(json, r, "connectivity", "connectivity random prefix16",
-                     0.0, wall);
-  }
-  {
-    const auto& r = run_connectivity(16, ExecutorKind::kSerial,
-                                     BatchPolicy::kWave, random_stream,
-                                     &wall);
-    bench::print_batch_row(r, "connectivity", "random, batch=16 out-of-order");
-    gate_batched_row(json, r, "connectivity", "connectivity random ooo16",
-                     harness::budgets::kBatchedConnectivityRoundsPerUpdate,
-                     wall);
-  }
-  {
-    const auto& r = run_connectivity(16, ExecutorKind::kThreadPool,
-                                     BatchPolicy::kWave, random_stream,
-                                     &wall);
-    bench::print_batch_row(r, "connectivity",
-                           "random, batch=16 ooo + thread pool");
-    gate_batched_row(json, r, "connectivity",
-                     "connectivity random ooo16 pool", 0.0, wall);
-  }
-  {
-    const auto& r = run_connectivity(1, ExecutorKind::kSerial,
-                                     BatchPolicy::kWave, delete_stream,
-                                     &wall);
-    bench::print_batch_row(r, "connectivity", "delete-heavy, serial baseline");
-    gate_batched_row(json, r, "connectivity",
-                     "connectivity delete-heavy serial", 0.0, wall);
-  }
-  {
-    const auto& r = run_connectivity(16, ExecutorKind::kSerial,
-                                     BatchPolicy::kPrefix, delete_stream,
-                                     &wall);
-    bench::print_batch_row(r, "connectivity", "delete-heavy, batch=16 prefix");
-    gate_batched_row(json, r, "connectivity",
-                     "connectivity delete-heavy prefix16", 0.0, wall);
-  }
-  {
-    const auto& r = run_connectivity(16, ExecutorKind::kSerial,
-                                     BatchPolicy::kWave, delete_stream,
-                                     &wall);
-    bench::print_batch_row(r, "connectivity",
-                           "delete-heavy, batch=16 out-of-order");
-    gate_batched_row(json, r, "connectivity",
-                     "connectivity delete-heavy ooo16",
-                     harness::budgets::kDeleteHeavyRoundsPerUpdate, wall);
-  }
-  {
-    // The O(1)-round batch-dynamic protocol on the same streams: the
-    // whole batch classified once, all tree deletions as one k-way
-    // split, one replacement cascade, all merges as one k-way join.
-    const auto& r = run_connectivity(16, ExecutorKind::kSerial,
-                                     BatchPolicy::kBatchDynamic,
-                                     random_stream, &wall);
+    const auto& r = run_connectivity(16, random_stream, &wall);
     bench::print_batch_row(r, "connectivity", "random, batch=16 batch-dyn");
     gate_batched_row(json, r, "connectivity", "connectivity random bdyn16",
                      0.0, wall);
   }
   {
-    const auto& r = run_connectivity(16, ExecutorKind::kSerial,
-                                     BatchPolicy::kBatchDynamic,
-                                     delete_stream, &wall);
+    const auto& r = run_connectivity(1, delete_stream, &wall);
+    bench::print_batch_row(r, "connectivity", "delete-heavy, serial baseline");
+    gate_batched_row(json, r, "connectivity",
+                     "connectivity delete-heavy serial", 0.0, wall);
+  }
+  {
+    const auto& r = run_connectivity(16, delete_stream, &wall);
     bench::print_batch_row(r, "connectivity",
                            "delete-heavy, batch=16 batch-dyn");
     gate_batched_row(
@@ -332,26 +268,17 @@ int main(int argc, char** argv) {
 
   // Weighted (MST) batched section: every burst of the weighted
   // delete-heavy adversary is a set of independent tree-edge deletions
-  // followed by a set of independent cycle-rule swap inserts.  A
-  // scheduler that serializes the path-max search (batch_path_max off —
-  // the PR 3 behavior) pays near-serial rounds for the insert half; the
-  // shared path-max round + pipelined waves batch it.
+  // followed by a set of independent cycle-rule swap inserts, which a
+  // batch runs through one shared path-max search round.
   bench::print_batch_header(
       "batched (1+eps)-MST (cycle-rule inserts share the path-max round)");
-  auto run_mst = [&](std::size_t batch_size, bool path_max, bool pipeline,
-                     BatchPolicy policy, const graph::UpdateStream& stream,
+  auto run_mst = [&](std::size_t batch_size, const graph::UpdateStream& stream,
                      double* wall_seconds) {
-    core::DynamicForest mst({.n = kN,
-                             .m_cap = kMCap,
-                             .weighted = true,
-                             .batch_policy = policy,
-                             .batch_path_max = path_max,
-                             .pipeline_waves = pipeline});
+    core::DynamicForest mst({.n = kN, .m_cap = kMCap, .weighted = true});
     mst.preprocess(graph::WeightedEdgeList{});
-    harness::DriverConfig config{.batch_size = batch_size,
-                                 .checkpoint_every = 0,
-                                 .weighted = true};
-    harness::Driver driver(kN, config);
+    harness::Driver driver(kN, {.batch_size = batch_size,
+                                .checkpoint_every = 0,
+                                .weighted = true});
     driver.add("mst", mst);
     install_tracer(mst, driver);
     *wall_seconds = bench::timed_seconds([&] { driver.run(stream); });
@@ -360,41 +287,12 @@ int main(int argc, char** argv) {
   const auto weighted_stream =
       graph::weighted_interleaved_delete_stream(kN, 2000, 8, 3, 10);
   {
-    const auto& r =
-        run_mst(1, true, true, BatchPolicy::kWave, weighted_stream, &wall);
+    const auto& r = run_mst(1, weighted_stream, &wall);
     bench::print_batch_row(r, "mst", "weighted delete-heavy, serial");
     gate_batched_row(json, r, "mst", "mst delete-heavy serial", 0.0, wall);
   }
   {
-    const auto& r =
-        run_mst(16, false, false, BatchPolicy::kWave, weighted_stream, &wall);
-    bench::print_batch_row(r, "mst",
-                           "weighted, batch=16 serialized cycle rule");
-    gate_batched_row(json, r, "mst", "mst delete-heavy nopathmax16", 0.0,
-                     wall);
-  }
-  {
-    // Path-max grouping alone (no pipelining): separates the genuinely
-    // shared search rounds from the overlapped-prepare accounting.
-    const auto& r =
-        run_mst(16, true, false, BatchPolicy::kWave, weighted_stream, &wall);
-    bench::print_batch_row(r, "mst",
-                           "weighted, batch=16 path-max, no pipeline");
-    gate_batched_row(json, r, "mst", "mst delete-heavy pathmax16 nopipe",
-                     0.0, wall);
-  }
-  {
-    const auto& r =
-        run_mst(16, true, true, BatchPolicy::kWave, weighted_stream, &wall);
-    bench::print_batch_row(r, "mst",
-                           "weighted, batch=16 path-max + pipelined");
-    gate_batched_row(
-        json, r, "mst", "mst delete-heavy pathmax16",
-        harness::budgets::kWeightedDeleteHeavyRoundsPerUpdate, wall);
-  }
-  {
-    const auto& r = run_mst(16, true, true, BatchPolicy::kBatchDynamic,
-                            weighted_stream, &wall);
+    const auto& r = run_mst(16, weighted_stream, &wall);
     bench::print_batch_row(r, "mst", "weighted, batch=16 batch-dyn");
     gate_batched_row(
         json, r, "mst", "mst delete-heavy bdyn16",
@@ -403,83 +301,13 @@ int main(int argc, char** argv) {
     gate_zero_serial(r, "mst", "mst delete-heavy bdyn16");
   }
 
-  // Cross-batch pipelining (driver lookahead): on the WIDE delete-heavy
-  // adversaries (paths = 2x batch) consecutive batches touch disjoint
-  // path sets, so the driver's two-batch lookahead can overlap every
-  // batch's first prepare — and, with deeper speculation, its
-  // directory/path-max rounds — with the previous batch's tail commit.
-  // Each pair compares the PR 4 configuration (within-batch wave
-  // pipelining only) against cross-batch + deep speculation ON.
-  bench::print_batch_header(
-      "cross-batch pipelined batches (two-batch driver lookahead)");
-  auto run_xbatch = [&](bool weighted, bool pipelined,
-                        const graph::UpdateStream& stream,
-                        double* wall_seconds) {
-    // Pinned to the wave scheduler: these rows measure the PR 5
-    // cross-batch wave pipeline (the batch-dynamic protocol has no wave
-    // loop to overlap).
-    core::DynamicForest forest({.n = kN,
-                                .m_cap = kMCap,
-                                .weighted = weighted,
-                                .batch_policy = BatchPolicy::kWave,
-                                .speculate_deep = pipelined});
-    if (weighted) {
-      forest.preprocess(graph::WeightedEdgeList{});
-    } else {
-      forest.preprocess(graph::EdgeList{});
-    }
-    harness::DriverConfig config{.batch_size = 16,
-                                 .checkpoint_every = 0,
-                                 .weighted = weighted};
-    config.cross_batch_lookahead = pipelined;
-    harness::Driver driver(kN, config);
-    driver.add("forest", forest);
-    install_tracer(forest, driver);
-    *wall_seconds = bench::timed_seconds([&] { driver.run(stream); });
-    return driver.report();
-  };
-  const auto wide_stream =
-      graph::interleaved_delete_stream(kN, 4000, 32, 2, 11);
-  const auto wide_weighted_stream =
-      graph::weighted_interleaved_delete_stream(kN, 4000, 32, 2, 12);
-  {
-    const auto& r = run_xbatch(false, false, wide_stream, &wall);
-    bench::print_batch_row(r, "forest", "wide delete-heavy, PR 4 config");
-    gate_batched_row(json, r, "forest", "connectivity delete-heavy wide pr4",
-                     0.0, wall);
-  }
-  {
-    const auto& r = run_xbatch(false, true, wide_stream, &wall);
-    bench::print_batch_row(r, "forest",
-                           "wide delete-heavy, cross-batch + deep");
-    gate_batched_row(json, r, "forest",
-                     "connectivity delete-heavy wide xbatch16",
-                     harness::budgets::kWideDeleteHeavyRoundsPerUpdate, wall);
-  }
-  {
-    const auto& r = run_xbatch(true, false, wide_weighted_stream, &wall);
-    bench::print_batch_row(r, "forest",
-                           "wide weighted delete-heavy, PR 4 config");
-    gate_batched_row(json, r, "forest", "mst delete-heavy wide pr4", 0.0,
-                     wall);
-  }
-  {
-    const auto& r = run_xbatch(true, true, wide_weighted_stream, &wall);
-    bench::print_batch_row(r, "forest",
-                           "wide weighted delete-heavy, cross-batch + deep");
-    gate_batched_row(
-        json, r, "forest", "mst delete-heavy wide xbatch16",
-        harness::budgets::kWeightedWideDeleteHeavyRoundsPerUpdate, wall);
-  }
-
   std::printf(
       "\nNotes: machines(wc)/comm(wc) are per-round worst cases; the\n"
       "reduction rows show rounds = sequential memory accesses with O(1)\n"
       "machines and O(1) words per round, as Lemma 7.1 predicts.  In the\n"
-      "batched section, rounds/upd dropping below the serial baseline is\n"
+      "batched sections, rounds/upd dropping below the serial baseline is\n"
       "the paper's sqrt(N)-updates-share-rounds observation made\n"
-      "measurable; the delete-heavy rows show the out-of-order scheduler\n"
-      "batching the tree-edge deletions the prefix planner serializes.\n");
+      "measurable.\n");
 
   if (tracer != nullptr) bench::write_trace(*tracer, cli.trace_path);
 

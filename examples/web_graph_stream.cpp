@@ -26,12 +26,7 @@ int main() {
   std::printf("web stream: %zu pages, %zu link events, window %zu\n", n,
               stream.size(), window);
 
-  // Batch policy pinned explicitly: the printed per-batch numbers below
-  // are the kBatchDynamic ones the README quotes.
-  core::DynamicForest clusters(
-      {.n = n,
-       .m_cap = window + 64,
-       .batch_policy = core::BatchPolicy::kBatchDynamic});
+  core::DynamicForest clusters({.n = n, .m_cap = window + 64});
   clusters.preprocess(graph::EdgeList{});
   core::CsMatching pairs({.n = n, .eps = 0.25, .seed = 43});
 

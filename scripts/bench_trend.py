@@ -14,9 +14,6 @@ and fails when any workload regressed:
     skipped entirely: a runner-hardware change is not a regression);
   * rounds_per_update grew by more than --max-rounds-regress (rounds
     are deterministic, so this bound is tight);
-  * the pipeline hit rate (waves_pipelined / speculative attempts)
-    dropped by more than --max-hit-rate-drop, on rows with at least
-    --min-attempts baseline attempts;
   * deferred_updates grew by more than --max-deferred-growth (plus a
     small absolute slack for tiny counts);
   * replacement-cascade rounds per batch (cascade_rounds / batches, the
@@ -59,8 +56,7 @@ from the job page without downloading artifacts.
 Usage:
   bench_trend.py --baseline DIR --current DIR \
       [--max-regress 0.25] [--min-seconds 0.25] \
-      [--max-rounds-regress 0.05] [--max-hit-rate-drop 0.10] \
-      [--min-attempts 20] [--max-deferred-growth 0.25] \
+      [--max-rounds-regress 0.05] [--max-deferred-growth 0.25] \
       [--max-query-rounds-regress 0.05] [--max-p99-regress 0.50] \
       [--min-p99-us 200] [--max-journal-overhead 5.0] \
       [--min-journal-seconds 0.5] [--max-trace-overhead 1.0] \
@@ -83,25 +79,6 @@ def load_rows(path):
     return rows
 
 
-def hit_rate(row, include_cross):
-    """Pipeline hit rate and attempt count of one row (None, 0 when the
-    row carries no scheduler counters).  With include_cross, cross-batch
-    boundary misses count as failed attempts: consumed carries already
-    land in waves_pipelined, so a lookahead that starts missing
-    wholesale drags the rate down instead of vanishing from the
-    denominator.  The caller sets include_cross only when BOTH compared
-    rows carry the counter — a baseline predating it must be compared
-    with the formula it was measured under, not fail spuriously."""
-    hits = row.get("waves_pipelined")
-    misses = row.get("speculation_misses")
-    if hits is None or misses is None:
-        return None, 0
-    attempts = hits + misses
-    if include_cross:
-        attempts += row.get("cross_batch_misses", 0)
-    return (hits / attempts if attempts else None), attempts
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True,
@@ -117,12 +94,6 @@ def main(argv=None):
     ap.add_argument("--max-rounds-regress", type=float, default=0.05,
                     help="fail when rounds_per_update grows by more than "
                          "this fraction (default 0.05)")
-    ap.add_argument("--max-hit-rate-drop", type=float, default=0.10,
-                    help="fail when the pipeline hit rate drops by more "
-                         "than this (absolute, default 0.10)")
-    ap.add_argument("--min-attempts", type=int, default=20,
-                    help="gate the hit rate only on rows with at least "
-                         "this many baseline attempts (default 20)")
     ap.add_argument("--max-deferred-growth", type=float, default=0.25,
                     help="fail when deferred_updates grows by more than "
                          "this fraction plus a slack of 8 (default 0.25)")
@@ -252,7 +223,7 @@ def main(argv=None):
             # renamed key, dropped sched counters) silently disables its
             # gate — make that loss visible, like the missing-row notice.
             for metric in ("wall_seconds", "rounds_per_update",
-                           "waves_pipelined", "deferred_updates",
+                           "deferred_updates",
                            "cascade_rounds", "query_rounds_per_batch",
                            "p99_us", "journal_overhead_pct",
                            "trace_overhead_pct"):
@@ -299,29 +270,8 @@ def main(argv=None):
                         (name, label, "rounds/update",
                          f"{br:.3f} -> {cr:.3f}"))
 
-            # Pipeline hit rate (within-batch waves + cross-batch
-            # carries both count through these counters).  A current run
-            # whose attempts collapsed to zero counts as rate 0.0 —
-            # losing speculation entirely is the worst drop, not a skip.
-            include_cross = ("cross_batch_misses" in brow and
-                             "cross_batch_misses" in crow)
-            brate, batt = hit_rate(brow, include_cross)
-            crate, _ = hit_rate(crow, include_cross)
-            has_cur_counters = crow.get("waves_pipelined") is not None
-            if crate is None and has_cur_counters:
-                crate = 0.0
-            rate_note = "-"
-            if brate is not None and crate is not None:
-                rate_note = f"{brate:.2f} -> {crate:.2f}"
-                if (batt >= args.min_attempts and
-                        crate < brate - args.max_hit_rate_drop):
-                    row_bad.append("pipeline hit rate")
-                    regressions.append(
-                        (name, label, "pipeline hit rate",
-                         f"{brate:.2f} -> {crate:.2f}"))
-
-            # Deferred updates: growth means the scheduler is bouncing
-            # more work back to the pending set.
+            # Deferred updates: growth means the path-max group commit
+            # is bouncing more work back to the pending set.
             bd, cd = (brow.get("deferred_updates"),
                       crow.get("deferred_updates"))
             deferred_note = "-"
@@ -393,12 +343,11 @@ def main(argv=None):
                 else "ok"
             marker = "  <-- REGRESSION" if row_bad else ""
             print(f"{name}: {label}: wall {wall_note}, r/u {rounds_note}, "
-                  f"hit {rate_note}, deferred {deferred_note}, "
+                  f"deferred {deferred_note}, "
                   f"cascade {cascade_note}, q-rounds {qrounds_note}, "
                   f"p99 {p99_note}{marker}")
             table.append((name.removeprefix("BENCH_").removesuffix(".json"),
-                          label, wall_note, rounds_note, rate_note,
-                          deferred_note, cascade_note, qrounds_note,
+                          label, wall_note, rounds_note, deferred_note, cascade_note, qrounds_note,
                           p99_note, verdict))
 
     if args.summary:
@@ -412,9 +361,9 @@ def main(argv=None):
                         "expired cache)._\n\n")
             else:
                 f.write("| bench | workload | wall | rounds/upd | "
-                        "pipe hit | deferred | cascade/batch | "
-                        "q-rounds/batch | p99 | verdict |\n")
-                f.write("|---|---|---|---|---|---|---|---|---|---|\n")
+                        "deferred | cascade/batch | q-rounds/batch | "
+                        "p99 | verdict |\n")
+                f.write("|---|---|---|---|---|---|---|---|---|\n")
                 for row in table:
                     cells = " | ".join(str(c) for c in row)
                     f.write(f"| {cells} |\n")
@@ -428,8 +377,7 @@ def main(argv=None):
         return 1
     print(f"bench_trend: {compared} row(s) within bounds "
           f"(wall {args.max_regress:.0%}, rounds "
-          f"{args.max_rounds_regress:.0%}, hit-rate drop "
-          f"{args.max_hit_rate_drop:.2f}, deferred growth "
+          f"{args.max_rounds_regress:.0%}, deferred growth "
           f"{args.max_deferred_growth:.0%}, cascade growth "
           f"{args.max_cascade_regress:.0%}, query rounds "
           f"{args.max_query_rounds_regress:.0%}, p99 growth "

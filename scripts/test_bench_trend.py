@@ -21,21 +21,15 @@ bench_trend = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_trend)
 
 
-def make_row(name, wall=1.0, rounds=None, hits=None, misses=None,
-             xb_misses=None, deferred=None, n=None, cascade=None,
-             batches=None, cores=None, qrounds=None, p99=None,
-             journal_pct=None, journal_off=None, trace_pct=None,
+def make_row(name, wall=1.0, rounds=None, deferred=None, n=None,
+             cascade=None, batches=None, cores=None, qrounds=None,
+             p99=None, journal_pct=None, journal_off=None, trace_pct=None,
              trace_off=None):
     row = {"name": name, "wall_seconds": wall}
     if n is not None:
         row["n"] = n
     if rounds is not None:
         row["rounds_per_update"] = rounds
-    if hits is not None:
-        row["waves_pipelined"] = hits
-        row["speculation_misses"] = misses or 0
-    if xb_misses is not None:
-        row["cross_batch_misses"] = xb_misses
     if deferred is not None:
         row["deferred_updates"] = deferred
     if cascade is not None:
@@ -80,8 +74,7 @@ class BenchTrendTest(unittest.TestCase):
                                  "--current", self.current, *extra])
 
     def test_identical_runs_pass(self):
-        rows = [make_row("w", wall=2.0, rounds=3.0, hits=50, misses=5,
-                         deferred=10)]
+        rows = [make_row("w", wall=2.0, rounds=3.0, deferred=10)]
         self.write(self.baseline, rows)
         self.write(self.current, rows)
         self.assertEqual(self.gate(), 0)
@@ -115,48 +108,6 @@ class BenchTrendTest(unittest.TestCase):
     def test_rounds_within_tolerance_passes(self):
         self.write(self.baseline, [make_row("w", rounds=3.0)])
         self.write(self.current, [make_row("w", rounds=3.1)])
-        self.assertEqual(self.gate(), 0)
-
-    def test_pipeline_hit_rate_drop_fails(self):
-        self.write(self.baseline,
-                   [make_row("w", hits=90, misses=10)])  # rate 0.90
-        self.write(self.current,
-                   [make_row("w", hits=50, misses=50)])  # rate 0.50
-        self.assertEqual(self.gate(), 1)
-
-    def test_total_loss_of_pipelining_fails(self):
-        # Zero attempts in the current run is a rate of 0, not a skip —
-        # disabling speculation entirely must not slip past the gate.
-        self.write(self.baseline,
-                   [make_row("w", hits=90, misses=10)])  # rate 0.90
-        self.write(self.current,
-                   [make_row("w", hits=0, misses=0)])
-        self.assertEqual(self.gate(), 1)
-
-    def test_cross_batch_misses_count_as_failed_attempts(self):
-        # Carries that start missing wholesale must drag the rate down,
-        # not vanish from the denominator: 50/(50+10) = 0.83 baseline vs
-        # 50/(50+10+40) = 0.50 current.
-        self.write(self.baseline,
-                   [make_row("w", hits=50, misses=10, xb_misses=0)])
-        self.write(self.current,
-                   [make_row("w", hits=50, misses=10, xb_misses=40)])
-        self.assertEqual(self.gate(), 1)
-
-    def test_pre_cross_batch_baseline_compares_under_old_formula(self):
-        # A baseline produced before the cross_batch_misses counter
-        # existed must not false-fail against a current run that counts
-        # boundary misses: both sides drop the counter and compare the
-        # within-batch rate only.
-        self.write(self.baseline,
-                   [make_row("w", hits=50, misses=0)])  # old-era row
-        self.write(self.current,
-                   [make_row("w", hits=50, misses=0, xb_misses=60)])
-        self.assertEqual(self.gate(), 0)
-
-    def test_hit_rate_ignored_below_min_attempts(self):
-        self.write(self.baseline, [make_row("w", hits=3, misses=1)])
-        self.write(self.current, [make_row("w", hits=0, misses=4)])
         self.assertEqual(self.gate(), 0)
 
     def test_deferred_updates_growth_fails(self):

@@ -22,11 +22,10 @@ trace_report = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(trace_report)
 
 
-def phase_row(name, spans=1, aborted=0, rounds=0, overlapped=0, charged=0,
-              comm=0, wall=0):
+def phase_row(name, spans=1, aborted=0, rounds=0, charged=0, comm=0,
+              wall=0):
     return {"phase": name, "spans": spans, "aborted_spans": aborted,
-            "rounds": rounds, "overlapped_rounds": overlapped,
-            "charged_rounds": charged, "comm_words": comm,
+            "rounds": rounds, "charged_rounds": charged, "comm_words": comm,
             "wall_ns": wall}
 
 

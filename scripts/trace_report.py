@@ -8,8 +8,8 @@ attribution table:
   {"traceEvents": [...],
    "dmpc": {"phases": [{"phase": "cascade", "spans": N,
                         "aborted_spans": N, "rounds": N,
-                        "overlapped_rounds": N, "charged_rounds": N,
-                        "comm_words": N, "wall_ns": N}, ...],
+                        "charged_rounds": N, "comm_words": N,
+                        "wall_ns": N}, ...],
             "dropped_events": N, "open_spans": D}}
 
 Default mode renders that table — one row per phase, sorted by
@@ -36,8 +36,8 @@ import sys
 # barrier directly, so they are excluded from the dominant-PER-ROUND
 # phase (mirrors Tracer::dominant_phase, which only considers phases
 # with recorded rounds).
-COLUMNS = ("spans", "aborted_spans", "rounds", "overlapped_rounds",
-           "charged_rounds", "comm_words", "wall_ns")
+COLUMNS = ("spans", "aborted_spans", "rounds", "charged_rounds",
+           "comm_words", "wall_ns")
 
 
 class TraceError(Exception):
@@ -86,8 +86,7 @@ def check(dmpc, path):
 
 
 def total_rounds(row):
-    return (row.get("rounds", 0) + row.get("overlapped_rounds", 0) +
-            row.get("charged_rounds", 0))
+    return row.get("rounds", 0) + row.get("charged_rounds", 0)
 
 
 def dominant_phase(phases):

@@ -42,9 +42,9 @@ enum Tag : Word {
   kBatchReady,
   // Cycle-rule commit verdicts: after the shared path-max round the
   // ingress tells each swap-or-deferred coordinator whether its update
-  // commits this wave or returns to the pending set.
+  // commits in this group or returns to the pending set.
   kBatchVerdict,
-  // Batch-dynamic protocol (BatchPolicy::kBatchDynamic): k-way split
+  // Batch-dynamic protocol (apply_batch): k-way split
   // descriptors, cached-index overrides for records whose surviving
   // appearance a cut invalidated, per-fragment-pair replacement minima
   // (machine -> pair collector -> component owner), cascade link grants
@@ -73,20 +73,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Whether the batch now being applied is the lookahead a carried
-/// cross-batch speculation was built for, element for element.
-bool same_updates(const std::vector<graph::Update>& a,
-                  std::span<const graph::Update> b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].kind != b[i].kind || a[i].u != b[i].u || a[i].v != b[i].v ||
-        a[i].w != b[i].w) {
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Whether slot `i` beats `best` (kNpos = none yet) in a min-weight
@@ -215,7 +201,6 @@ void DynamicForest::journal_rollback() {
   }
   next_comp_id_ = journal_next_comp_id_;
   batch_stats_ = journal_batch_stats_;
-  carry_.reset();  // the speculation read state that no longer exists
   cluster_->drop_round_state();
   cluster_->metrics().abort_update();
   journal_active_ = false;
@@ -233,7 +218,6 @@ void DynamicForest::preprocess(const graph::EdgeList& edges) {
 }
 
 void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
-  carry_.reset();  // rebuilt state invalidates any carried speculation
   // Select the spanning forest.  The MST variant considers edges bucket by
   // bucket in increasing (1+eps) weight classes — exactly the paper's
   // bucketization, which is what makes the result a (1+eps)-approximate
@@ -1051,13 +1035,6 @@ void DynamicForest::erase_impl(VertexId x, VertexId y) {
 }
 
 void DynamicForest::insert(VertexId x, VertexId y, Weight w) {
-  // A serial update between apply_batch calls rewrites state a carried
-  // cross-batch speculation read; the fingerprint match cannot see
-  // that, so the carry must die here.
-  if (carry_.has_value()) {
-    carry_.reset();
-    ++batch_stats_.cross_batch_misses;
-  }
   cluster_->begin_update();
   journal_begin();
   try {
@@ -1070,10 +1047,6 @@ void DynamicForest::insert(VertexId x, VertexId y, Weight w) {
 }
 
 void DynamicForest::erase(VertexId x, VertexId y) {
-  if (carry_.has_value()) {
-    carry_.reset();
-    ++batch_stats_.cross_batch_misses;
-  }
   cluster_->begin_update();
   journal_begin();
   try {
@@ -1306,8 +1279,7 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
       // read claim (two such ops may share it, a merge/split may not).
       op.kind = BatchOpKind::kNontreeInsert;
       op.reads[op.num_reads++] = op.cx;
-    } else if (config_.batch_policy != BatchPolicy::kPrefix &&
-               config_.batch_path_max) {
+    } else {
       // The MST cycle rule's path-max search is read-only until a swap
       // commits: claim the component for reading so the group protocol
       // runs all members' searches in one shared round.  A committing
@@ -1315,12 +1287,6 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
       // same-component members planned behind it back to pending.
       op.kind = BatchOpKind::kPathMax;
       op.reads[op.num_reads++] = op.cx;
-    } else {
-      // The MST cycle rule may displace a tree edge anywhere on the
-      // x..y path: the whole component counts as rewritten and the
-      // update never shares rounds.
-      op.kind = BatchOpKind::kSerial;
-      op.writes[op.num_writes++] = op.cx;
     }
     return op;
   }
@@ -1379,45 +1345,8 @@ bool DynamicForest::ops_conflict_ordering(const BatchOp& a,
 
 DynamicForest::WavePlan DynamicForest::plan_wave(
     std::span<const graph::Update> batch,
-    std::span<const std::size_t> pending,
-    std::span<const BatchOp> avoid) const {
+    std::span<const std::size_t> pending) const {
   WavePlan wave;
-  if (config_.batch_policy == BatchPolicy::kPrefix) {
-    // PR 2 baseline: a maximal independent *prefix* with exclusive
-    // component claims; tree-edge deletions, cycle-rule inserts, and a
-    // repeated edge all end it.
-    std::set<Word> claimed;
-    std::set<std::uint64_t> touched;
-    std::set<MachineId> coords;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const BatchOp op = classify_op(batch[pending[i]], pending[i]);
-      if (op.kind == BatchOpKind::kSerial ||
-          op.kind == BatchOpKind::kTreeDelete) {
-        break;
-      }
-      if (!touched.insert(op.ekey).second) break;
-      if (op.kind != BatchOpKind::kNoop) {
-        bool conflict = !coords.insert(op.coord).second;
-        for (std::size_t c = 0; c < op.num_writes; ++c) {
-          conflict = conflict || claimed.count(op.writes[c]) > 0;
-        }
-        for (std::size_t c = 0; c < op.num_reads; ++c) {
-          conflict = conflict || claimed.count(op.reads[c]) > 0;
-        }
-        if (conflict) break;
-        for (std::size_t c = 0; c < op.num_writes; ++c) {
-          claimed.insert(op.writes[c]);
-        }
-        for (std::size_t c = 0; c < op.num_reads; ++c) {
-          claimed.insert(op.reads[c]);
-        }
-      }
-      wave.group.push_back(op);
-      wave.taken.push_back(i);
-    }
-    return wave;
-  }
-
   // Out-of-order: the first color class of a greedy conflict-graph
   // coloring over the whole pending batch.  An update joins the wave iff
   //   (a) it commutes with every EARLIER update that stays pending
@@ -1429,16 +1358,12 @@ DynamicForest::WavePlan DynamicForest::plan_wave(
   //       the local transforms commutative).
   // Deferred updates keep their plan-time claims so later candidates can
   // test (a) against them; their classification is re-derived from the
-  // post-wave state on the next call.  Speculative planning seeds the
-  // list with the in-flight wave's ops: anything conflicting with them
-  // would read state that wave is about to rewrite, so it stays pending
-  // (and keeps everything ordered behind it pending too).
-  std::vector<BatchOp> deferred(avoid.begin(), avoid.end());
-  const std::size_t seeded = deferred.size();
+  // post-group state on the next call.
+  std::vector<BatchOp> deferred;
   std::set<MachineId> coords;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     BatchOp op = classify_op(batch[pending[i]], pending[i]);
-    bool blocked = op.kind == BatchOpKind::kSerial;
+    bool blocked = false;
     for (const BatchOp& d : deferred) {
       if (blocked) break;
       blocked = ops_conflict_ordering(op, d);
@@ -1451,9 +1376,7 @@ DynamicForest::WavePlan DynamicForest::plan_wave(
         fits = !ops_conflict(op, g);
       }
       if (fits) {
-        // Overtaking an in-flight (avoid) op is not a reorder of the
-        // pending set; only deferred PENDING updates count.
-        if (deferred.size() > seeded) ++wave.reordered;
+        if (!deferred.empty()) ++wave.reordered;
         if (op.kind != BatchOpKind::kNoop) coords.insert(op.coord);
         wave.group.push_back(std::move(op));
         wave.taken.push_back(i);
@@ -1466,24 +1389,11 @@ DynamicForest::WavePlan DynamicForest::plan_wave(
 }
 
 DynamicForest::GroupPrep DynamicForest::run_group_prepare(
-    std::vector<BatchOp>& group, bool overlapped) {
+    std::vector<BatchOp>& group) {
   const MachineId mu = static_cast<MachineId>(machines_.size());
   dmpc::PhaseScope phase(cluster_->tracer(),
                          dmpc::TracePhase::kScatterClassify);
   GroupPrep gp;
-  // Overlapped mode: this is the NEXT wave's read-only prepare riding
-  // the current wave's commit rounds, so deliveries are accounted as
-  // traffic without new rounds (see Cluster::finish_overlapped_round).
-  // gp.rounds still counts them: the scheduler charges back whatever
-  // exceeds the commit rounds they actually rode.
-  const auto finish = [&] {
-    ++gp.rounds;
-    if (overlapped) {
-      cluster_->finish_overlapped_round();
-    } else {
-      cluster_->finish_round();
-    }
-  };
 
   // Round 1 (scatter): the ingress ships each update to its coordinator
   // (= its edge machine), which runs the update's part of every shared
@@ -1501,7 +1411,7 @@ DynamicForest::GroupPrep DynamicForest::run_group_prepare(
                    {static_cast<Word>(i), static_cast<Word>(op.kind), op.x,
                     op.y, op.w, op.new_comp});
   }
-  finish();
+  cluster_->finish_round();
 
   for (std::size_t i = 0; i < group.size(); ++i) {
     if (group[i].kind == BatchOpKind::kNoop) continue;
@@ -1526,7 +1436,7 @@ DynamicForest::GroupPrep DynamicForest::run_group_prepare(
       }
     }
   }
-  finish();
+  cluster_->finish_round();
 
   // Round 3 (replies): every machine scans its shard once per update
   // (machines run concurrently) and stages its f/l + component reply to
@@ -1545,7 +1455,7 @@ DynamicForest::GroupPrep DynamicForest::run_group_prepare(
       }
     }
   });
-  finish();
+  cluster_->finish_round();
   gp.preps.resize(gp.active.size());
   // The per-update scan folds are independent reductions over disjoint
   // rows of the scan matrix, so they run on the installed executor; each
@@ -1554,24 +1464,16 @@ DynamicForest::GroupPrep DynamicForest::run_group_prepare(
   cluster_->executor().run(gp.active.size(), [&](std::size_t a) {
     gp.preps[a] = fold_scans(scans[a]);
   });
-  // Deeper speculation: the directory and shared path-max rounds are
-  // read-only too, so a pipelined wave runs them against pre-commit
-  // state as well — 2 more rounds hidden behind the in-flight commit,
-  // guarded by the same written-component/edge invalidation.
-  if (overlapped && config_.speculate_deep) {
-    gp.rounds += run_group_dir(group, gp, /*overlapped=*/true);
-  }
   return gp;
 }
 
-std::uint64_t DynamicForest::run_group_dir(std::vector<BatchOp>& group,
-                                           GroupPrep& gp, bool overlapped) {
+void DynamicForest::run_group_dir(std::vector<BatchOp>& group,
+                                  GroupPrep& gp) {
   const MachineId mu = static_cast<MachineId>(machines_.size());
   const std::vector<std::size_t>& active = gp.active;
-  gp.dir_done = true;
   gp.heaviest.assign(active.size(), std::nullopt);
   if (active.empty() || !(gp.any_merge || gp.any_delete || gp.any_pathmax)) {
-    return 0;
+    return;
   }
   // Path-max probes share these two rounds with the directory traffic;
   // the trace attributes the pair to whichever is present (path-max
@@ -1579,15 +1481,6 @@ std::uint64_t DynamicForest::run_group_dir(std::vector<BatchOp>& group,
   dmpc::PhaseScope phase(cluster_->tracer(),
                          gp.any_pathmax ? dmpc::TracePhase::kPathMax
                                         : dmpc::TracePhase::kDirectory);
-  std::uint64_t rounds = 0;
-  const auto finish = [&] {
-    ++rounds;
-    if (overlapped) {
-      cluster_->finish_overlapped_round();
-    } else {
-      cluster_->finish_round();
-    }
-  };
   // Merges need both component sizes; tree deletions — and cycle-rule
   // inserts, whose swap would split — the size of the one they touch.
   const auto needs_dir = [&](std::size_t i) {
@@ -1626,7 +1519,7 @@ std::uint64_t DynamicForest::run_group_dir(std::vector<BatchOp>& group,
       }
     }
   }
-  finish();
+  cluster_->finish_round();
   std::vector<std::vector<std::optional<EdgeRec>>> pmc;
   if (gp.any_pathmax) {
     pmc.assign(machines_.size(),
@@ -1661,7 +1554,7 @@ std::uint64_t DynamicForest::run_group_dir(std::vector<BatchOp>& group,
       p.size_cy = p.size_cx;
     }
   }
-  finish();
+  cluster_->finish_round();
   // Coordinator-side fold of the path-max proposals, mirroring the
   // serial fold (machine order, strictly heavier wins) so a grouped
   // search elects the same displaced edge as serial application.
@@ -1675,26 +1568,16 @@ std::uint64_t DynamicForest::run_group_dir(std::vector<BatchOp>& group,
       }
     }
   }
-  return rounds;
 }
 
-DynamicForest::GroupOutcome DynamicForest::run_group_commit(
+std::vector<std::size_t> DynamicForest::run_group_commit(
     std::vector<BatchOp>& group, GroupPrep& gp) {
   const MachineId mu = static_cast<MachineId>(machines_.size());
   dmpc::PhaseScope phase(cluster_->tracer(), dmpc::TracePhase::kWaveCommit);
-  GroupOutcome out;
-  const auto finish = [&] {
-    ++out.rounds;
-    cluster_->finish_round();
-  };
+  std::vector<std::size_t> deferred_pos;
   const std::vector<std::size_t>& active = gp.active;
-  if (active.empty()) return out;
-  // Directory sizes + path-max maxima: already gathered when a deep
-  // speculative prepare ran rounds 4-5 overlapped; otherwise run them
-  // here at full cost.
-  if (!gp.dir_done) {
-    out.rounds += run_group_dir(group, gp, /*overlapped=*/false);
-  }
+  if (active.empty()) return deferred_pos;
+  run_group_dir(group, gp);
   std::vector<Prep>& preps = gp.preps;
   std::vector<std::optional<EdgeRec>>& heaviest = gp.heaviest;
   const bool any_merge = gp.any_merge;
@@ -1724,7 +1607,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
                    {static_cast<Word>(active[a]), preps[a].cx, preps[a].cy,
                     want_swap[a] ? 1 : 0});
   }
-  finish();
+  cluster_->finish_round();
   std::vector<bool> deferred(active.size(), false);
   std::vector<bool> commit_swap(active.size(), false);
   if (any_pathmax) {
@@ -1791,7 +1674,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     }
     round7 = true;
   }
-  if (round7) finish();
+  if (round7) cluster_->finish_round();
   // Behind round 7's barrier: apply the merge transforms and scan the
   // displaced edges' endpoints (per machine, concurrently).  The swaps'
   // components are disjoint from every merge's, so the scan is
@@ -1830,7 +1713,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     cluster_->send(coord, dir_machine(p.cy), kDirUpdate, {p.cy, 0});
     dir_round = true;
   }
-  if (dir_round || !swaps.empty()) finish();
+  if (dir_round || !swaps.empty()) cluster_->finish_round();
   for (std::size_t a = 0; a < active.size(); ++a) {
     if (deferred[a]) continue;  // bounced back to pending: no trace
     const BatchOp& op = group[active[a]];
@@ -1875,7 +1758,6 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
         break;
       }
       case BatchOpKind::kTreeDelete:  // handled below
-      case BatchOpKind::kSerial:      // never reaches a group
       case BatchOpKind::kNoop:
         break;
     }
@@ -1886,38 +1768,12 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     }
   }
 
-  // Outcome bookkeeping for the scheduler: deferred positions re-enter
-  // the pending set; written components and touched edge keys validate
-  // the next wave's speculative prepare.
+  // Deferred positions re-enter the pending set.
   for (std::size_t a = 0; a < active.size(); ++a) {
-    const BatchOp& op = group[active[a]];
-    if (deferred[a]) {
-      out.deferred.push_back(op.pos);
-      continue;
-    }
-    out.touched_ekeys.insert(op.ekey);
-    switch (op.kind) {
-      case BatchOpKind::kMerge:
-        out.written_comps.insert(op.cx);
-        out.written_comps.insert(op.cy);
-        break;
-      case BatchOpKind::kTreeDelete:
-        out.written_comps.insert(preps[a].cx);
-        out.written_comps.insert(op.new_comp);
-        break;
-      case BatchOpKind::kPathMax:
-        if (commit_swap[a]) {
-          out.written_comps.insert(preps[a].cx);
-          out.written_comps.insert(op.new_comp);
-          out.touched_ekeys.insert(edge_key(heaviest[a]->u, heaviest[a]->v));
-        }
-        break;
-      default:
-        break;
-    }
+    if (deferred[a]) deferred_pos.push_back(group[active[a]].pos);
   }
 
-  if (!any_delete && swaps.empty()) return out;
+  if (!any_delete && swaps.empty()) return deferred_pos;
 
   // --- batched tree-edge deletions and cycle-rule swaps --------------------
   // Grouped splits followed by ONE shared replacement-edge search: the
@@ -1967,7 +1823,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     it.demote = true;
     items.push_back(std::move(it));
   }
-  if (items.empty()) return out;
+  if (items.empty()) return deferred_pos;
 
   // Round 9 (split broadcasts): each cut's coordinator derives its
   // split from the shared prepare results and broadcasts it; every
@@ -1982,7 +1838,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
       if (m != op.coord) cluster_->send(op.coord, m, kSplitBcast, payload);
     }
   }
-  finish();
+  cluster_->finish_round();
   cluster_->for_each_machine([&](MachineId m) {
     for (const SplitItem& it : items) {
       apply_split_local(machines_[m], it.plan.sb);
@@ -2009,7 +1865,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     cluster_->send(op.coord, dir_machine(sp.sb.new_comp), kDirUpdate,
                    {sp.sb.new_comp, sp.sub_size});
   }
-  finish();
+  cluster_->finish_round();
   for (const SplitItem& it : items) {
     const BatchOp& op = group[active[it.a]];
     const SplitPlan& sp = it.plan;
@@ -2064,7 +1920,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
                       local[d]->u_in_subtree ? 1 : 0});
     }
   });
-  finish();
+  cluster_->finish_round();
   struct Repl {
     bool found = false;
     EdgeRec rec;        // the winning candidate (copied before mutation)
@@ -2086,9 +1942,8 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     repl[d].rec = *best;
     repl[d].a = best->u_in_subtree ? best->v : best->u;
     repl[d].b = best->u_in_subtree ? best->u : best->v;
-    out.touched_ekeys.insert(edge_key(repl[d].a, repl[d].b));
   }
-  if (!any_repl) return out;
+  if (!any_repl) return deferred_pos;
 
   // Rounds 12-13 (replacement re-scan): post-split f/l of each
   // replacement's endpoints, gathered exactly like rounds 2-3; the
@@ -2104,7 +1959,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
       }
     }
   }
-  finish();
+  cluster_->finish_round();
   std::vector<std::vector<EndpointScan>> rscans(
       items.size(), std::vector<EndpointScan>(machines_.size()));
   cluster_->for_each_machine([&](MachineId m) {
@@ -2119,7 +1974,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
       }
     }
   });
-  finish();
+  cluster_->finish_round();
   // Per-replacement scan folds, pooled like the prepare folds (distinct
   // repl slots, machine-order reduction inside each fold).
   cluster_->executor().run(items.size(), [&](std::size_t d) {
@@ -2142,7 +1997,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
       if (m != op.coord) cluster_->send(op.coord, m, kMergeBcast, payload);
     }
   }
-  finish();
+  cluster_->finish_round();
   cluster_->for_each_machine([&](MachineId m) {
     for (std::size_t d = 0; d < items.size(); ++d) {
       if (repl[d].found) apply_merge_local(machines_[m], repl[d].plan.mb);
@@ -2164,7 +2019,7 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
                    {rp.cx, rp.size_cx + rp.size_cy});
     cluster_->send(op.coord, dir_machine(rp.cy), kDirUpdate, {rp.cy, 0});
   }
-  finish();
+  cluster_->finish_round();
   for (std::size_t d = 0; d < items.size(); ++d) {
     if (!repl[d].found) continue;
     const Prep& rp = repl[d].rp;
@@ -2180,11 +2035,11 @@ DynamicForest::GroupOutcome DynamicForest::run_group_commit(
     machines_[dir_machine(rp.cy)].comp_sizes.erase(rp.cy);
     cluster_->memory(dir_machine(rp.cy)).release(kDirRecWords);
   }
-  return out;
+  return deferred_pos;
 }
 
 // ---------------------------------------------------------------------------
-// Batch-dynamic protocol (BatchPolicy::kBatchDynamic)
+// Batch-dynamic protocol (apply_batch)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -2204,16 +2059,10 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
   StagePlan stage;
   rejected.clear();
   const BatchOp head = classify_op(batch[pending[0]], pending[0]);
-  if (head.kind == BatchOpKind::kSerial) {
-    stage.kind = StageKind::kStageSerial;
-    stage.ops.push_back(head);
-    stage.taken.push_back(0);
-    return stage;
-  }
   if (head.kind == BatchOpKind::kPathMax) {
-    // Cycle-rule inserts keep the proven path-max wave machinery: the
-    // shared search is already one round, and a committing swap reuses
-    // the grouped split + replacement pipeline.
+    // Cycle-rule inserts run as a path-max group: the shared search is
+    // one round, and a committing swap reuses the grouped split +
+    // replacement pipeline.
     stage.kind = StageKind::kStageGroup;
     WavePlan wave = plan_wave(batch, pending);
     stage.ops = std::move(wave.group);
@@ -2225,8 +2074,9 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
   // Admission: one writer KIND per component — all-deletes ('d'),
   // all-merges ('m'), or all-non-tree-record ops ('n') — with exclusive
   // edge keys and a stage-local DSU keeping chained merges acyclic.
-  // Unlike a wave, MANY deletions may share a component (they become one
-  // k-way split) and merges may chain (they become one k-way join).
+  // Unlike a path-max group, MANY deletions may share a component (they
+  // become one k-way split) and merges may chain (they become one k-way
+  // join).
   std::map<Word, char> comp_use;
   std::set<std::uint64_t> ekeys;
   std::map<Word, Word> dsu;
@@ -2244,8 +2094,7 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
   };
   for (std::size_t i = 0; i < pending.size(); ++i) {
     BatchOp op = classify_op(batch[pending[i]], pending[i]);
-    bool blocked = op.kind == BatchOpKind::kSerial ||
-                   op.kind == BatchOpKind::kPathMax;
+    bool blocked = op.kind == BatchOpKind::kPathMax;
     for (const BatchOp& r : rejected) {
       if (blocked) break;
       blocked = ops_conflict_ordering(op, r);
@@ -3008,8 +2857,8 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
 // a crash) unwinds through journal_rollback, which restores the pre-batch
 // state and closes the metrics bracket; after journal_commit the rollback
 // is a no-op, so a late throw cannot replay a committed journal.
-void DynamicForest::apply_batch_dynamic(
-    std::span<const graph::Update> batch) try {
+void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
+  if (batch.empty()) return;
   cluster_->begin_update();
   journal_begin();
   ++batch_stats_.batches;
@@ -3061,17 +2910,6 @@ void DynamicForest::apply_batch_dynamic(
     StagePlan stage = plan_stage(batch, pending, rejected);
     ++batch_stats_.stages;
     batch_stats_.reordered_updates += stage.reordered;
-    if (stage.kind == StageKind::kStageSerial) {
-      const graph::Update& up = batch[pending.front()];
-      ++batch_stats_.serial_updates;
-      if (up.kind == graph::UpdateKind::kInsert) {
-        insert_impl(up.u, up.v, up.w);
-      } else {
-        erase_impl(up.u, up.v);
-      }
-      pending.erase(pending.begin());
-      continue;
-    }
     std::vector<std::size_t> rest;
     rest.reserve(pending.size() - stage.taken.size());
     {
@@ -3088,15 +2926,14 @@ void DynamicForest::apply_batch_dynamic(
     batch_stats_.max_group =
         std::max<std::uint64_t>(batch_stats_.max_group, stage.ops.size());
     if (stage.kind == StageKind::kStageGroup) {
-      // Cycle-rule inserts reuse the wave-group machinery — even a lone
-      // one, so a weighted delete-heavy stream never counts a serial
-      // fallback for its path-max searches.
-      GroupPrep gp = run_group_prepare(stage.ops, /*overlapped=*/false);
-      GroupOutcome outc = run_group_commit(stage.ops, gp);
-      batch_stats_.grouped_updates += stage.ops.size() - outc.deferred.size();
-      batch_stats_.deferred_updates += outc.deferred.size();
-      if (!outc.deferred.empty()) {
-        rest.insert(rest.end(), outc.deferred.begin(), outc.deferred.end());
+      // Cycle-rule inserts run as a path-max group — even a lone one.
+      GroupPrep gp = run_group_prepare(stage.ops);
+      const std::vector<std::size_t> deferred =
+          run_group_commit(stage.ops, gp);
+      batch_stats_.grouped_updates += stage.ops.size() - deferred.size();
+      batch_stats_.deferred_updates += deferred.size();
+      if (!deferred.empty()) {
+        rest.insert(rest.end(), deferred.begin(), deferred.end());
         std::sort(rest.begin(), rest.end());
       }
     } else {
@@ -3109,260 +2946,6 @@ void DynamicForest::apply_batch_dynamic(
       batch_stats_.grouped_updates += stage.ops.size();
     }
     pending.swap(rest);
-  }
-  close_update();
-} catch (...) {
-  journal_rollback();
-  throw;
-}
-
-void DynamicForest::apply_batch(std::span<const graph::Update> batch) {
-  apply_batch(batch, std::span<const graph::Update>{});
-}
-
-void DynamicForest::charge_overlap_deficit(std::uint64_t prep_rounds,
-                                           std::uint64_t ridden) {
-  if (prep_rounds <= ridden) return;
-  const dmpc::RoundRecord blank{};
-  for (std::uint64_t r = prep_rounds - ridden; r > 0; --r) {
-    cluster_->charge_round(blank);
-  }
-}
-
-std::optional<DynamicForest::CarrySpec> DynamicForest::plan_cross_carry(
-    std::span<const graph::Update> lookahead,
-    std::span<const BatchOp> avoid) {
-  CarrySpec s;
-  std::vector<std::size_t> next_pending(lookahead.size());
-  for (std::size_t i = 0; i < next_pending.size(); ++i) next_pending[i] = i;
-  s.wave = plan_wave(lookahead, next_pending, avoid);
-  // A wave of fewer than 2 ops is not worth carrying: everything in the
-  // next batch conflicts with (or is ordered behind a conflict with)
-  // the closing tail, and the boundary degrades to plain back-to-back
-  // serialization (counted as a cross_batch_miss by the caller).
-  if (s.wave.group.size() < 2) return std::nullopt;
-  s.prep = run_group_prepare(s.wave.group, /*overlapped=*/true);
-  s.batch.assign(lookahead.begin(), lookahead.end());
-  return s;
-}
-
-void DynamicForest::apply_batch(std::span<const graph::Update> batch,
-                                std::span<const graph::Update> lookahead) try {
-  if (batch.empty()) return;
-  if (config_.batch_policy == BatchPolicy::kBatchDynamic) {
-    // The batch-dynamic protocol drains the whole batch in a constant
-    // number of stages and never leaves claims in flight at the batch
-    // boundary, so the cross-batch lookahead has nothing to ride:
-    // `lookahead` is ignored (batches_pipelined/cross_batch_misses stay
-    // untouched).  It rolls itself back on a throw; the catch below is
-    // then a no-op.
-    apply_batch_dynamic(batch);
-    return;
-  }
-  cluster_->begin_update();
-  journal_begin();
-  ++batch_stats_.batches;
-  std::vector<std::size_t> pending(batch.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
-  const bool pipeline = config_.batch_policy == BatchPolicy::kWave &&
-                        config_.pipeline_waves;
-  // The next wave, planned and prepared speculatively against PRE-commit
-  // state while the current wave's commit rounds run (its rounds 1-3 are
-  // read-only, so they ride those rounds for free — see
-  // finish_overlapped_round).  Kept only when the commit's written
-  // components / touched edges prove the speculation untouched.
-  struct Spec {
-    WavePlan wave;
-    GroupPrep prep;
-  };
-  std::optional<Spec> spec;
-  // The first wave's fresh plan, when the carry-consumption check below
-  // already computed one: the first loop iteration reuses it instead of
-  // planning the same wave twice.
-  std::optional<WavePlan> first_plan;
-  // Consume the speculation carried across the apply_batch boundary: the
-  // previous call planned + prepared THIS batch's first wave away from
-  // its closing wave's claims and validated it against that commit, so
-  // it is usable exactly when this batch is the lookahead it was built
-  // for (a direct caller may apply something else — then it is dropped
-  // and planning starts from scratch, today's serialization).
-  if (carry_.has_value()) {
-    bool usable = pipeline && same_updates(carry_->batch, batch);
-    if (usable) {
-      // The carried wave was planned AWAY from the previous batch's
-      // closing claims, so it can be a strict subset of what a fresh
-      // plan against the committed state would take.  Consuming a
-      // fragment forces an extra wave onto this batch — often costlier
-      // than the prepare rounds the carry hides — so it is only used
-      // when it is at least as large as the fresh first wave.
-      WavePlan fresh = plan_wave(batch, pending);
-      usable = carry_->wave.group.size() >= fresh.group.size();
-      if (!usable) first_plan = std::move(fresh);
-    }
-    if (usable) {
-      spec.emplace(Spec{std::move(carry_->wave), std::move(carry_->prep)});
-      ++batch_stats_.batches_pipelined;
-    } else {
-      ++batch_stats_.cross_batch_misses;
-    }
-    carry_.reset();
-  }
-  const auto spec_survives = [](const WavePlan& w, const GroupOutcome& o) {
-    for (const BatchOp& op : w.group) {
-      if (o.touched_ekeys.count(op.ekey) > 0) return false;
-      for (std::size_t i = 0; i < op.num_writes; ++i) {
-        if (o.written_comps.count(op.writes[i]) > 0) return false;
-      }
-      for (std::size_t i = 0; i < op.num_reads; ++i) {
-        if (o.written_comps.count(op.reads[i]) > 0) return false;
-      }
-    }
-    return true;
-  };
-  while (!pending.empty()) {
-    WavePlan wave;
-    GroupPrep gp;
-    bool prepared = false;
-    if (spec.has_value()) {
-      wave = std::move(spec->wave);
-      gp = std::move(spec->prep);
-      prepared = true;
-      spec.reset();
-      ++batch_stats_.waves_pipelined;
-    } else if (first_plan.has_value()) {
-      wave = std::move(*first_plan);
-      first_plan.reset();
-    } else {
-      wave = plan_wave(batch, pending);
-    }
-    if (wave.group.size() >= 2) {
-      ++batch_stats_.groups;
-      batch_stats_.reordered_updates += wave.reordered;
-      batch_stats_.max_group =
-          std::max<std::uint64_t>(batch_stats_.max_group, wave.group.size());
-      for (const BatchOp& op : wave.group) {
-        if (op.kind == BatchOpKind::kTreeDelete) {
-          ++batch_stats_.batched_tree_deletes;
-        }
-      }
-      if (!prepared) gp = run_group_prepare(wave.group, /*overlapped=*/false);
-      // Drop the consumed positions; the next wave re-plans what is left
-      // against the post-group state.
-      std::vector<std::size_t> rest;
-      rest.reserve(pending.size() - wave.taken.size());
-      std::size_t t = 0;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (t < wave.taken.size() && wave.taken[t] == i) {
-          ++t;
-          continue;
-        }
-        rest.push_back(pending[i]);
-      }
-      // Speculate the NEXT wave's plan + read-only prepare against the
-      // pre-commit state, overlapping the current wave's commit rounds.
-      // Only group-sized waves are worth speculating: a lone head runs
-      // the serial protocol, which re-prepares anyway.  On the batch's
-      // FINAL wave the same mechanism reaches across the apply_batch
-      // boundary instead: the lookahead batch's first wave is planned
-      // away from this wave's claims and carried to the next call.
-      std::optional<CarrySpec> cross;
-      if (pipeline && !rest.empty()) {
-        Spec s;
-        // Seeding the plan with the in-flight group's ops keeps the
-        // speculation off the components this commit is rewriting, so
-        // it usually survives; dynamic escalations (a cycle-rule swap
-        // writing a component it only read at plan time) still
-        // invalidate it below.
-        s.wave = plan_wave(batch, rest, wave.group);
-        if (s.wave.group.size() >= 2) {
-          s.prep = run_group_prepare(s.wave.group, /*overlapped=*/true);
-          spec = std::move(s);
-        }
-      } else if (pipeline && rest.empty() && !lookahead.empty()) {
-        cross = plan_cross_carry(lookahead, wave.group);
-      }
-      GroupOutcome outc = run_group_commit(wave.group, gp);
-      std::uint64_t spec_rounds = 0;
-      if (spec.has_value()) {
-        spec_rounds = spec->prep.rounds;
-      } else if (cross.has_value()) {
-        spec_rounds = cross->prep.rounds;
-      }
-      charge_overlap_deficit(spec_rounds, outc.rounds);
-      batch_stats_.grouped_updates +=
-          wave.group.size() - outc.deferred.size();
-      batch_stats_.deferred_updates += outc.deferred.size();
-      if (!outc.deferred.empty()) {
-        // Deferred positions re-enter the pending set in batch order.
-        // The speculation was planned without them, so a speculated op
-        // could illegally overtake a deferred conflicting one: discard.
-        // A carried cross-batch wave likewise: the deferred members of
-        // THIS batch must commit before the next batch starts.
-        rest.insert(rest.end(), outc.deferred.begin(), outc.deferred.end());
-        std::sort(rest.begin(), rest.end());
-        if (spec.has_value()) {
-          spec.reset();
-          ++batch_stats_.speculation_misses;
-        }
-        cross.reset();
-      } else {
-        if (spec.has_value() && !spec_survives(spec->wave, outc)) {
-          spec.reset();
-          ++batch_stats_.speculation_misses;
-        }
-        if (cross.has_value() && !spec_survives(cross->wave, outc)) {
-          cross.reset();
-        }
-      }
-      if (cross.has_value()) carry_ = std::move(cross);
-      pending.swap(rest);
-      continue;
-    }
-    // Lone or conflicting head-of-batch update: the serial per-update
-    // protocol (inside the batch's metrics group) preserves batch order.
-    // `spec` is empty here by construction: speculation only ever covers
-    // a group-sized wave, which the branch above consumes.
-    const graph::Update& up = batch[pending.front()];
-    ++batch_stats_.serial_updates;
-    // When this is the batch's LAST update, the lookahead's first wave
-    // can ride the serial protocol's rounds just like a grouped tail:
-    // plan it away from this op's claims, prepare it overlapped, and
-    // validate it against the op's claim closure (everything a serial
-    // protocol writes — splits, replacement promotions, demotes — stays
-    // inside its claimed components and its own edge key).
-    std::optional<CarrySpec> cross;
-    std::optional<BatchOp> tail_op;
-    if (pipeline && pending.size() == 1 && !lookahead.empty()) {
-      tail_op.emplace(classify_op(up, pending.front()));
-      cross =
-          plan_cross_carry(lookahead, std::span<const BatchOp>(&*tail_op, 1));
-    }
-    const std::uint64_t rounds_before = cluster_->metrics().current_rounds();
-    if (up.kind == graph::UpdateKind::kInsert) {
-      insert_impl(up.u, up.v, up.w);
-    } else {
-      erase_impl(up.u, up.v);
-    }
-    if (cross.has_value()) {
-      charge_overlap_deficit(
-          cross->prep.rounds,
-          cluster_->metrics().current_rounds() - rounds_before);
-      GroupOutcome synth;
-      synth.touched_ekeys.insert(tail_op->ekey);
-      for (std::size_t i = 0; i < tail_op->num_writes; ++i) {
-        synth.written_comps.insert(tail_op->writes[i]);
-      }
-      if (spec_survives(cross->wave, synth)) carry_ = std::move(cross);
-    }
-    pending.erase(pending.begin());
-  }
-  // Each call with a lookahead is one boundary attempt: it either
-  // carried a speculative first wave to the next call, or the boundary
-  // falls back to plain serialization — a miss, whatever prevented the
-  // carry (wholesale conflicts, an invalidating commit, a deferral, or
-  // a serial-fallback tail with nothing to ride).
-  if (pipeline && !lookahead.empty() && !carry_.has_value()) {
-    ++batch_stats_.cross_batch_misses;
   }
   close_update();
 } catch (...) {

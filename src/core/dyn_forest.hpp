@@ -31,22 +31,17 @@
 //     crossing-candidate gather, optional replacement merge (its own
 //     prepare + broadcast).
 //
-// Batched updates (apply_batch): independent updates — pairwise-disjoint
-// touched components, distinct edges, distinct coordinator machines —
-// share one O(1)-round protocol instance instead of running it once
-// each, which is the paper's observation that Theta(sqrt N) updates fit
-// in the same rounds.  Each update's edge machine acts as its
-// coordinator, so the per-machine round traffic stays O(sqrt N).  A
-// batch scheduler partitions the WHOLE batch (not just a prefix) into
-// such groups via a conflict graph over edges, components (read/write
-// claims), and coordinator machines, executing non-conflicting updates
-// out of order while preserving the serial-equivalent final state, and
-// the group protocol covers batched tree-edge deletions (grouped splits
-// followed by one shared replacement-edge search round) and MST
-// cycle-rule inserts (one shared path-max round; committing swaps
-// escalate into the deletion pipeline).  Waves are pipelined: the next
-// wave's read-only prepare rounds speculatively overlap the current
-// wave's commit rounds.  See apply_batch below and BatchPolicy.
+// Batched updates (apply_batch): a whole batch — conflicting updates
+// included — shares a constant number of constant-round stages instead
+// of running the per-update protocol once each, which is the paper's
+// observation that Theta(sqrt N) updates fit in the same rounds.  Each
+// update's edge machine acts as its coordinator, so the per-machine
+// round traffic stays O(sqrt N).  A stage runs all its tree deletions as
+// one k-way tour split per component, one parallel replacement cascade,
+// and all merges plus replacement links as one k-way join per final
+// tree; MST cycle-rule inserts share one path-max round (committing
+// swaps escalate into the grouped deletion pipeline).  The final state
+// equals serial application.  See apply_batch below.
 //
 // Per-machine round work (shard scans, local transform application) is
 // submitted through Cluster::for_each_machine and so runs in parallel
@@ -74,7 +69,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -93,63 +87,12 @@ using dmpc::Word;
 using graph::EdgeKey;
 using graph::Weight;
 
-/// How apply_batch partitions a batch into shared-round groups.
-enum class BatchPolicy {
-  /// The PR 2 planner: only a maximal *prefix* of mutually independent
-  /// updates shares rounds (exclusive component claims), and every
-  /// tree-edge deletion or MST cycle-rule insert ends the prefix and
-  /// runs serially.  Kept as the comparison baseline.
-  kPrefix,
-  /// The PR 3-5 wave scheduler: greedy conflict-graph coloring over the
-  /// whole batch.  Updates commuting with every earlier still-pending
-  /// update (disjoint read/write component claims, distinct edges) join
-  /// the current group out of order; tree-edge deletions batch through
-  /// grouped splits plus a shared replacement search; groups are
-  /// re-planned after every wave so deletions' component changes are
-  /// observed.  Final state is identical to serial application.  Kept as
-  /// the comparison baseline for kBatchDynamic.
-  kWave,
-  /// The batch-dynamic protocol: the whole batch — including updates
-  /// that CONFLICT (many deletions inside one component, chained merges)
-  /// — is processed in a constant number of stages, each a constant
-  /// number of rounds.  All admissible tree deletions of a stage run as
-  /// ONE k-way tour split per component (every stored index moves once,
-  /// regardless of the number of cuts), a single parallel replacement
-  /// cascade reconnects the fragments (per-fragment-pair minima folded
-  /// over two hops, a per-component Kruskal over the fragment multigraph
-  /// with deterministic (w,u,v) tie-breaks), and all merges plus
-  /// replacement links commit as one k-way join per final tree.
-  /// Unweighted insert/delete churn on one edge is net-op compressed
-  /// before planning.  Final state is identical to serial application.
-  kBatchDynamic,
-};
-
 struct DynForestConfig {
   std::size_t n = 0;         ///< number of vertices
   std::size_t m_cap = 0;     ///< maximum number of edges over the run
   bool weighted = false;     ///< MST variant if true
   double eps = 0.1;          ///< MST approximation slack (bucketing)
   double memory_slack = 32;  ///< S = slack * sqrt(N) words per machine
-  BatchPolicy batch_policy = BatchPolicy::kBatchDynamic;
-  /// Under kWave, run MST cycle-rule inserts' x..y path-max search as
-  /// one shared group round (the search is read-only; only committing
-  /// swaps escalate to a write commit phase) instead of serializing each
-  /// such insert.  Disable to get the pre-path-max scheduler baseline.
-  /// Under kBatchDynamic it additionally keeps cycle-rule inserts off
-  /// the serial path (they run through the shared path-max stage).
-  bool batch_path_max = true;
-  /// Under kWave, overlap the next wave's read-only prepare/scan
-  /// rounds with the current wave's commit rounds, invalidating the
-  /// speculation when a commit touches a speculated component or edge.
-  bool pipeline_waves = true;
-  /// Deepen pipelined speculation past the prepare scans: the directory
-  /// queries and the shared path-max search (commit rounds 4-5) are
-  /// read-only until a swap or merge commits, so a speculated wave runs
-  /// them against pre-commit state too — up to 2 more rounds hidden per
-  /// pipelined wave.  The same written-component/edge invalidation (and
-  /// the deficit charge-back) applies.  Off = the PR 4 behavior, where
-  /// only prepare rounds 1-3 speculate.
-  bool speculate_deep = true;
   /// Strong exception guarantee for updates: insert/erase/apply_batch
   /// keep a per-machine undo journal (pre-images of every record,
   /// vertex, and directory entry they touch, appended as they mutate)
@@ -203,54 +146,29 @@ class DynamicForest {
   void erase(VertexId x, VertexId y);
 
   /// Applies a whole batch of updates, wrapped in ONE
-  /// begin_update()/end_update() group.  Under the default
-  /// BatchPolicy::kBatchDynamic the whole batch — conflicting updates
-  /// included — runs through a constant number of constant-round stages:
-  /// per-edge update chains are net-op compressed (unweighted), each
-  /// stage admits every remaining update it can order safely, executes
-  /// ALL its tree deletions as one k-way tour split per component, runs
-  /// ONE parallel replacement cascade over the resulting fragments, and
-  /// commits all merges plus replacement links as one k-way join per
-  /// final tree; MST cycle-rule inserts run through the shared path-max
-  /// machinery.  There is no serial fallback and no per-wave re-plan.
-  /// Under BatchPolicy::kWave the scheduler partitions the batch into
-  /// groups of mutually independent updates (disjoint component
-  /// read/write claims, distinct edges and coordinator machines) by
-  /// greedy conflict-graph coloring: each wave picks every remaining
-  /// update that commutes with all earlier still-pending ones, runs the
-  /// group through a single shared instance of the O(1)-round protocol
-  /// — including batched tree-edge deletions (grouped splits + one
-  /// shared replacement search) and MST cycle-rule inserts (one shared
-  /// path-max round; committing swaps join the deletion pipeline, and
+  /// begin_update()/end_update() group.  The whole batch — conflicting
+  /// updates included — runs through a constant number of
+  /// constant-round stages: per-edge update chains are net-op
+  /// compressed (unweighted), each stage admits every remaining update
+  /// it can order safely, executes ALL its tree deletions as one k-way
+  /// tour split per component, runs ONE parallel replacement cascade
+  /// over the resulting fragments, and commits all merges plus
+  /// replacement links as one k-way join per final tree.  MST
+  /// cycle-rule inserts run as a separate stage through the shared
+  /// path-max group protocol (one shared search round; committing
+  /// swaps join its grouped split + replacement pipeline, and
   /// same-component members planned behind a committed swap defer to a
-  /// later wave) — then re-plans against the new state, speculatively
-  /// overlapping the next wave's read-only prepare rounds with the
-  /// current wave's commit rounds (pipeline_waves).  Lone conflicting
-  /// updates fall back to the serial per-update protocols in batch
-  /// order.  The final state is identical to applying the
-  /// batch one update at a time with insert(x, y, w) / erase(x, y):
-  /// Update::w is stored verbatim, so unweighted callers should carry
-  /// the serial default of 1 (harness::Driver normalizes its batches
-  /// this way when configured unweighted).
+  /// later stage).  There is no serial fallback.  The final state is
+  /// identical to applying the batch one update at a time with
+  /// insert(x, y, w) / erase(x, y): Update::w is stored verbatim, so
+  /// unweighted callers should carry the serial default of 1
+  /// (harness::Driver normalizes its batches this way when configured
+  /// unweighted).  Any mid-protocol throw rolls the batch back
+  /// (atomic_updates) before it propagates.
   void apply_batch(std::span<const graph::Update> batch);
 
-  /// apply_batch with cross-batch lookahead: `lookahead` is the NEXT
-  /// batch the caller will apply (may be empty).  While this batch's
-  /// final wave commits, the lookahead's first wave is planned AWAY from
-  /// the in-flight claims and its read-only rounds run speculatively
-  /// against pre-commit state (overlapped accounting) — the wave
-  /// pipelining mechanism lifted across the apply_batch boundary.  The
-  /// carried speculation is consumed by the next apply_batch call IF its
-  /// batch matches `lookahead` element for element and this batch's
-  /// commits left the speculated components and edges untouched;
-  /// otherwise it is dropped (sched.cross_batch_misses) and the next
-  /// call plans from scratch, exactly today's serialization.  Final
-  /// state is identical to back-to-back apply_batch(batch) calls.
-  void apply_batch(std::span<const graph::Update> batch,
-                   std::span<const graph::Update> lookahead);
-
   /// Cumulative scheduling statistics over all apply_batch calls
-  /// (groups formed, serial fallbacks, out-of-order executions).
+  /// (stages, groups formed, out-of-order executions).
   [[nodiscard]] const dmpc::BatchScheduleStats& batch_stats() const {
     return batch_stats_;
   }
@@ -271,7 +189,7 @@ class DynamicForest {
   /// begin_query_batch()/end_query_batch(), so query rounds settle into
   /// Metrics::query_aggregate() and NEVER touch the update accounting
   /// (worst_rounds stays <= 6 regardless of batch size).  Reads only:
-  /// no machine state is written and cross-batch carries survive.
+  /// no machine state is written.
   std::vector<ReadAnswer> answer_queries(std::span<const ReadQuery> queries);
 
   [[nodiscard]] std::size_t num_machines() const;
@@ -850,8 +768,7 @@ class DynamicForest {
     kNontreeInsert = 2,  // same-component insert (unweighted)
     kNontreeDelete = 3,  // delete of a non-tree record
     kTreeDelete = 4,     // batched split + shared replacement search
-    kSerial = 5,         // cycle-rule insert with path-max sharing off
-    kPathMax = 6,        // MST cycle-rule insert: shared path-max search
+    kPathMax = 5,        // MST cycle-rule insert: shared path-max search
                          // (read claim), swap commits escalate to writes
   };
 
@@ -876,9 +793,9 @@ class DynamicForest {
     std::size_t num_reads = 0;
   };
 
-  // One wave of the scheduler: the group to run next plus which pending
-  // positions it consumes and how many of them overtook an earlier
-  // still-pending update.
+  // One path-max group: the ops to run next plus which pending positions
+  // they consume and how many of them overtook an earlier still-pending
+  // update.
   struct WavePlan {
     std::vector<BatchOp> group;
     std::vector<std::size_t> taken;  // indexes into `pending`
@@ -886,37 +803,15 @@ class DynamicForest {
   };
 
   // The read-only prefix of a group run (rounds 1-3: scatter, endpoint
-  // broadcast, shard-scan replies), separated from the commit rounds so
-  // the scheduler can execute it speculatively for the NEXT wave while
-  // the current wave commits.
+  // broadcast, shard-scan replies) plus the directory sizes and path-max
+  // maxima of rounds 4-5.
   struct GroupPrep {
     std::vector<std::size_t> active;  // group indexes with real work
     std::vector<Prep> preps;          // parallel to `active`
     bool any_merge = false;
     bool any_delete = false;
     bool any_pathmax = false;
-    // Deeper speculation (rounds 4-5): whether the directory sizes in
-    // `preps` and the path-max results in `heaviest` were already
-    // gathered (speculatively, for a pipelined wave), so the commit can
-    // skip its own directory/path-max rounds.
-    bool dir_done = false;
     std::vector<std::optional<EdgeRec>> heaviest;  // parallel to `active`
-    // Rounds this prepare consumed.  For a speculative (overlapped)
-    // prepare they were charged as zero; the scheduler re-charges any
-    // excess over the commit rounds they actually rode (a 3-round
-    // prepare cannot hide behind a 1-round commit).
-    std::uint64_t rounds = 0;
-  };
-
-  // What a group's commit rounds did, for re-plan bookkeeping and for
-  // validating the next wave's speculative prepare: the batch positions
-  // it bounced back to pending (a committing cycle-rule swap rewrote
-  // their component), plus the components and edge keys it wrote.
-  struct GroupOutcome {
-    std::vector<std::size_t> deferred;  // batch positions to re-plan
-    std::set<Word> written_comps;
-    std::set<std::uint64_t> touched_ekeys;
-    std::uint64_t rounds = 0;  // commit rounds run (overlap headroom)
   };
 
   [[nodiscard]] std::uint64_t edge_key(VertexId u, VertexId v) const;
@@ -993,8 +888,8 @@ class DynamicForest {
   /// the batched swap protocol.
   static void demote_record(EdgeRec& rec, const SplitBcast& sb);
 
-  /// Update protocols without the begin_update()/end_update() wrapper
-  /// (apply_batch runs many of them inside one metrics group).
+  /// The serial update protocols' bodies; insert/erase wrap them in the
+  /// begin_update()/end_update() bracket and the undo journal.
   void insert_impl(VertexId x, VertexId y, Weight w);
   void erase_impl(VertexId x, VertexId y);
 
@@ -1012,26 +907,19 @@ class DynamicForest {
   /// component claim is a read at plan time but may ESCALATE to a write
   /// when its swap commits, so for the may-this-overtake-that test (a
   /// candidate running before an earlier still-pending update) either
-  /// side's kPathMax read counts as a write.  Within a wave the relaxed
+  /// side's kPathMax read counts as a write.  Within a group the relaxed
   /// ops_conflict still applies — there the commit phase enforces the
   /// order by admitting one swap per component and deferring the
   /// members planned behind it.
   [[nodiscard]] static bool ops_conflict_ordering(const BatchOp& a,
                                                   const BatchOp& b);
 
-  /// Plans the next wave over the still-pending batch positions: under
-  /// kWave, every pending update (in batch order) that commutes
-  /// with all earlier still-pending ones and fits the group's resource
-  /// constraints (distinct coordinators, non-overlapping claims); under
-  /// kPrefix, the PR 2 maximal independent prefix (exclusive claims,
-  /// tree deletions and cycle-rule inserts end it).  `avoid` (used for
-  /// speculative planning during the previous wave's commit) seeds the
-  /// conflict set: pending updates conflicting with those in-flight ops
-  /// are left pending, as are updates ordered behind them, so the
-  /// speculated wave reads only state the in-flight commit cannot touch.
+  /// Plans a path-max group over the still-pending batch positions:
+  /// every pending update (in batch order) that commutes with all
+  /// earlier still-pending ones and fits the group's resource
+  /// constraints (distinct coordinators, non-overlapping claims).
   [[nodiscard]] WavePlan plan_wave(std::span<const graph::Update> batch,
-                                   std::span<const std::size_t> pending,
-                                   std::span<const BatchOp> avoid = {}) const;
+                                   std::span<const std::size_t> pending) const;
   /// The heaviest local tree edge of `comp` on the tree path between the
   /// subtree intervals of x ([fx,lx]) and y ([fy,ly]) — the per-machine
   /// share of the path-max search (ancestor-XOR criterion).  Shared by
@@ -1052,35 +940,33 @@ class DynamicForest {
   /// Rounds 1-3 of a group run: scatter to coordinators (assigns
   /// split-off component ids, so the group is mutated), endpoint
   /// broadcasts, and the shard-scan replies folded into per-update
-  /// Preps.  With `overlapped` the rounds are accounted as riding the
-  /// previous wave's commit rounds (speculative prepare).
-  GroupPrep run_group_prepare(std::vector<BatchOp>& group, bool overlapped);
+  /// Preps.
+  GroupPrep run_group_prepare(std::vector<BatchOp>& group);
   /// Rounds 4-5 of a group run: directory size queries/replies plus the
   /// shared path-max search, writing the sizes into gp.preps and the
   /// per-insert maxima into gp.heaviest.  Read-only against machine
-  /// state, so a pipelined wave may run it speculatively (`overlapped`,
-  /// config speculate_deep); returns the rounds it consumed.
-  std::uint64_t run_group_dir(std::vector<BatchOp>& group, GroupPrep& gp,
-                              bool overlapped);
-  /// The rest of the group protocol: directory + shared path-max rounds
-  /// (unless gp.dir_done already gathered them), commit-plan
-  /// confirmation, merge broadcasts, records, and the grouped split /
-  /// shared-replacement-search pipeline (tree deletions and committing
-  /// cycle-rule swaps together).
-  GroupOutcome run_group_commit(std::vector<BatchOp>& group, GroupPrep& gp);
+  /// state.
+  void run_group_dir(std::vector<BatchOp>& group, GroupPrep& gp);
+  /// The rest of the group protocol: directory + shared path-max rounds,
+  /// commit-plan confirmation, merge broadcasts, records, and the
+  /// grouped split / shared-replacement-search pipeline (tree deletions
+  /// and committing cycle-rule swaps together).  Returns the batch
+  /// positions bounced back to pending: members planned behind a
+  /// committing cycle-rule swap in their component.
+  std::vector<std::size_t> run_group_commit(std::vector<BatchOp>& group,
+                                            GroupPrep& gp);
 
-  // --- batch-dynamic protocol (BatchPolicy::kBatchDynamic) -----------------
+  // --- batch-dynamic stages (apply_batch) ----------------------------------
 
   enum class StageKind {
-    kStageSerial,  // one op that genuinely needs the serial protocol
-    kStageGroup,   // cycle-rule inserts: delegate to the path-max wave
+    kStageGroup,   // cycle-rule inserts: delegate to the path-max group
     kStageKWay,    // k-way split / cascade / k-way join stage
   };
 
   // One stage of the batch-dynamic protocol.  A kStageKWay stage admits
   // every remaining update it can order safely — MANY tree deletions per
-  // component, chained merges — unlike a wave, which admits at most one
-  // writer per component.
+  // component, chained merges — unlike a path-max group, which admits at
+  // most one writer per component.
   struct StagePlan {
     StageKind kind = StageKind::kStageKWay;
     std::vector<BatchOp> ops;
@@ -1107,10 +993,6 @@ class DynamicForest {
   /// non-tree stages up to 8 with deletions needing reconnection.
   void run_stage_kway(std::vector<BatchOp>& ops);
 
-  /// The apply_batch body under BatchPolicy::kBatchDynamic: net-op
-  /// compression (unweighted), then stages until the batch drains.
-  void apply_batch_dynamic(std::span<const graph::Update> batch);
-
   /// Memory accounting helpers.
   void charge_edge_record(MachineId m);
   void release_edge_record(MachineId m);
@@ -1131,8 +1013,8 @@ class DynamicForest {
   void close_update();
   /// Rolls everything back after a mid-protocol throw: replays every
   /// machine's journal in reverse, restores the meters and scalars,
-  /// drops the carried speculation and the round buffer's staged/inbox
-  /// state, and aborts the in-flight metrics update.  Restores the
+  /// drops the round buffer's staged/inbox state, and aborts the
+  /// in-flight metrics update.  Restores the
   /// exact pre-update record/vertex/directory CONTENT; EdgeShard slot
   /// order may differ from the pre-update order (put/erase replay uses
   /// swap-remove), which callers are already forbidden to rely on.
@@ -1146,39 +1028,11 @@ class DynamicForest {
     return const_cast<dmpc::Cluster&>(*cluster_).executor();
   }
 
-  // A speculative first wave carried across the apply_batch boundary:
-  // planned and prepared (overlapped) against the previous batch's
-  // pre-commit state, consumed by the next apply_batch call when its
-  // batch matches `batch` element for element.  The prepare's rounds
-  // were already settled (overlapped traffic + deficit charge) in the
-  // batch that created it.
-  struct CarrySpec {
-    std::vector<graph::Update> batch;  // the lookahead this was built for
-    WavePlan wave;
-    GroupPrep prep;
-  };
-
-  /// Plans the lookahead batch's first wave away from `avoid` (the
-  /// closing wave's ops, or the serial tail op) and runs its read-only
-  /// rounds overlapped.  Returns nullopt when fewer than 2 ops survive
-  /// the avoid seeding — nothing worth carrying across the boundary.
-  std::optional<CarrySpec> plan_cross_carry(
-      std::span<const graph::Update> lookahead,
-      std::span<const BatchOp> avoid);
-
-  /// Re-charges the rounds a speculative prepare issued beyond what the
-  /// commit (or serial protocol) it rode actually ran: the excess cannot
-  /// hide in any physically realizable schedule.  Traffic was already
-  /// counted at delivery, so the make-up rounds are blank.
-  void charge_overlap_deficit(std::uint64_t prep_rounds,
-                              std::uint64_t ridden);
-
   DynForestConfig config_;
   std::unique_ptr<dmpc::Cluster> cluster_;
   std::vector<MachineState> machines_;
   Word next_comp_id_;  // ingress-local state (machine 0)
   dmpc::BatchScheduleStats batch_stats_;
-  std::optional<CarrySpec> carry_;
   // journal_begin snapshots (valid while the journals are armed).
   bool journal_active_ = false;
   Word journal_next_comp_id_ = 0;

@@ -100,16 +100,6 @@ RoundRecord Cluster::finish_round() {
   return rec;
 }
 
-RoundRecord Cluster::finish_overlapped_round() {
-  maybe_inject_round_fault();
-  const RoundRecord rec = buffer_.deliver(capacity_, metrics_);
-  metrics_.record_overlapped_round(rec);
-  if (tracer_ && tracer_->enabled()) {
-    tracer_->record_round(TraceRoundKind::kOverlapped, rec);
-  }
-  return rec;
-}
-
 const std::vector<Message>& Cluster::inbox(MachineId m) const {
   check_machine(m, "inbox");
   return buffer_.inbox(m);

@@ -85,8 +85,8 @@ struct QueryAggregate {
 };
 
 /// Scheduling statistics of a batch-update planner: how apply_batch
-/// partitioned its batches into shared-round groups, how much fell back
-/// to the serial per-update protocols, and how much ran out of order.
+/// partitioned its batches into shared-round stages and groups, and how
+/// much ran out of order.
 /// Defined here (not in the algorithm) so the harness and benches can
 /// aggregate/print them without depending on the algorithm's type —
 /// any BatchApplicable algorithm with a scheduler can expose one via a
@@ -95,7 +95,7 @@ struct BatchScheduleStats {
   std::uint64_t batches = 0;           ///< apply_batch invocations
   std::uint64_t groups = 0;            ///< shared-round group instances run
   std::uint64_t grouped_updates = 0;   ///< updates executed inside a group
-  std::uint64_t serial_updates = 0;    ///< updates via the serial fallback
+  std::uint64_t serial_updates = 0;    ///< serial fallbacks (0: none left)
   std::uint64_t reordered_updates = 0; ///< ran before an earlier batch entry
   std::uint64_t batched_tree_deletes = 0;  ///< tree-edge deletions grouped
   std::uint64_t max_group = 0;         ///< largest group size seen
@@ -105,22 +105,7 @@ struct BatchScheduleStats {
   /// Group members returned to the pending set because a committing
   /// cycle-rule swap rewrote their component under them.
   std::uint64_t deferred_updates = 0;
-  /// Waves whose prepare/scan rounds overlapped the previous wave's
-  /// commit rounds (speculation kept).
-  std::uint64_t waves_pipelined = 0;
-  /// Speculative prepares thrown away because the previous wave's
-  /// commits touched a speculated component or edge.
-  std::uint64_t speculation_misses = 0;
-  /// apply_batch calls whose FIRST wave was planned and prepared across
-  /// the previous apply_batch call's tail commit (driver-side two-batch
-  /// lookahead; the carried prepare rode the closing batch's rounds).
-  std::uint64_t batches_pipelined = 0;
-  /// Cross-batch lookahead attempts dropped: the next batch conflicted
-  /// wholesale with the closing batch's in-flight claims, the closing
-  /// commit invalidated the carried speculation (or deferred members),
-  /// or the batch eventually applied did not match the lookahead.
-  std::uint64_t cross_batch_misses = 0;
-  /// Batch-dynamic protocol (BatchPolicy::kBatchDynamic) instrumentation.
+  /// Batch-dynamic protocol instrumentation.
   /// Constant-round stages executed (each stage covers every admissible
   /// update of the remaining batch in one shared schedule).
   std::uint64_t stages = 0;
@@ -154,20 +139,6 @@ struct BatchScheduleStats {
     return batches == 0 ? 0.0
                         : static_cast<double>(groups) /
                               static_cast<double>(batches);
-  }
-  /// Fraction of speculative attempts that survived to execution:
-  /// within-batch waves (hits land in waves_pipelined, failures in
-  /// speculation_misses) and cross-batch boundary attempts (a consumed
-  /// carry also counts into waves_pipelined; a failed boundary into
-  /// cross_batch_misses) share one rate, so a lookahead that starts
-  /// missing wholesale drags it down instead of vanishing from the
-  /// denominator.
-  [[nodiscard]] double pipeline_hit_rate() const {
-    const std::uint64_t attempts =
-        waves_pipelined + speculation_misses + cross_batch_misses;
-    return attempts == 0 ? 0.0
-                         : static_cast<double>(waves_pipelined) /
-                               static_cast<double>(attempts);
   }
 };
 
@@ -270,23 +241,6 @@ class Metrics {
     }
   }
 
-  /// Records a round whose messages share an already-charged synchronous
-  /// round (pipelined protocol phases: a speculative prepare overlapping
-  /// the previous wave's commit rounds).  The traffic and activity count
-  /// toward the current update's totals and per-round maxima — the words
-  /// really move — but the round count does not: in the model the
-  /// messages ride a round that is already being paid for.
-  void record_overlapped_round(const RoundRecord& r) {
-    if (!in_update_) return;
-    if (r.active_machines > current_.max_active_machines) {
-      current_.max_active_machines = r.active_machines;
-    }
-    if (r.comm_words > current_.max_comm_words) {
-      current_.max_comm_words = r.comm_words;
-    }
-    current_.total_comm_words += r.comm_words;
-  }
-
   /// Hot path: called once per delivered message at the round barrier,
   /// so the histogram is dense: one row per sender, allocated by the
   /// sender's first message and grown to its highest receiver (a
@@ -304,12 +258,6 @@ class Metrics {
 
   [[nodiscard]] const std::vector<RoundRecord>& rounds() const {
     return rounds_;
-  }
-  /// Rounds charged to the in-flight update so far.  The batch scheduler
-  /// uses the delta around a serial-fallback update to know how many
-  /// real rounds a cross-batch speculative prepare rode.
-  [[nodiscard]] std::uint64_t current_rounds() const {
-    return current_.rounds;
   }
   [[nodiscard]] const UpdateAggregate& aggregate() const { return aggregate_; }
   [[nodiscard]] const QueryAggregate& query_aggregate() const {

@@ -19,7 +19,6 @@ std::uint64_t steady_ns() {
 const char* round_kind_name(TraceRoundKind kind) {
   switch (kind) {
     case TraceRoundKind::kReal: return "round";
-    case TraceRoundKind::kOverlapped: return "round(overlapped)";
     case TraceRoundKind::kCharged: return "round(charged)";
   }
   return "round";
@@ -53,7 +52,6 @@ const char* trace_phase_name(TracePhase phase) {
     case TracePhase::kWaveCommit: return "wave-commit";
     case TracePhase::kQueryBatch: return "query-batch";
     case TracePhase::kBatch: return "batch";
-    case TracePhase::kPipeline: return "pipeline";
     case TracePhase::kRecovery: return "recovery";
     case TracePhase::kEpoch: return "epoch";
     case TracePhase::kPhaseCount: break;
@@ -125,7 +123,7 @@ void Tracer::record_round(TraceRoundKind kind, const RoundRecord& rec) {
   ev.round_kind = kind;
   // Charged rounds are synthetic (their wall time belongs to the real
   // round that surrounds them): zero-width, and they do not advance the
-  // boundary.  Real and overlapped rounds run from the last
+  // boundary.  Real rounds run from the last
   // protocol-track boundary, so they tile the track and stay nested
   // inside the phase that owns them.
   if (kind == TraceRoundKind::kCharged) {
@@ -141,7 +139,6 @@ void Tracer::record_round(TraceRoundKind kind, const RoundRecord& rec) {
   PhaseTotals& t = totals_[static_cast<std::size_t>(ev.phase)];
   switch (kind) {
     case TraceRoundKind::kReal: ++t.rounds; break;
-    case TraceRoundKind::kOverlapped: ++t.overlapped_rounds; break;
     case TraceRoundKind::kCharged: ++t.charged_rounds; break;
   }
   t.comm_words += rec.comm_words;
@@ -174,7 +171,7 @@ TracePhase Tracer::dominant_phase() const {
   bool any = false;
   for (std::size_t p = 0; p < kTracePhaseCount; ++p) {
     const PhaseTotals& t = totals_[p];
-    if (t.rounds + t.overlapped_rounds + t.charged_rounds == 0) continue;
+    if (t.rounds + t.charged_rounds == 0) continue;
     if (!any || t.wall_ns > best_wall) {
       any = true;
       best_wall = t.wall_ns;
@@ -254,8 +251,7 @@ std::string Tracer::chrome_json() const {
   first = true;
   for (std::size_t p = 0; p < kTracePhaseCount; ++p) {
     const PhaseTotals& t = totals_[p];
-    if (t.spans == 0 &&
-        t.rounds + t.overlapped_rounds + t.charged_rounds == 0) {
+    if (t.spans == 0 && t.rounds + t.charged_rounds == 0) {
       continue;
     }
     comma();
@@ -267,8 +263,6 @@ std::string Tracer::chrome_json() const {
     append_u64(out, t.aborted_spans);
     out += ",\"rounds\":";
     append_u64(out, t.rounds);
-    out += ",\"overlapped_rounds\":";
-    append_u64(out, t.overlapped_rounds);
     out += ",\"charged_rounds\":";
     append_u64(out, t.charged_rounds);
     out += ",\"comm_words\":";

@@ -5,7 +5,7 @@
 // and nests those spans under protocol-phase annotations pushed by the
 // algorithm layers (DynamicForest's scatter/classify, k-way split,
 // replacement cascade, k-way join, directory, path-max, and query-batch
-// phases; harness::Driver's batch/pipeline/recovery spans;
+// phases; harness::Driver's batch/recovery spans;
 // serve::QueryBroker's epochs).  Two exports:
 //
 //   * Chrome trace-event JSON (write_chrome_json), loadable in Perfetto:
@@ -46,21 +46,20 @@
 namespace dmpc {
 
 /// Protocol-phase taxonomy.  The first block is DynamicForest's protocol
-/// phases (both the wave scheduler and the O(1)-round batch-dynamic
-/// path), the second is the driver/serving layer; kNone attributes
-/// rounds recorded outside any annotation.
+/// phases (the k-way stages and the path-max group protocol), the second
+/// is the driver/serving layer; kNone attributes rounds recorded outside
+/// any annotation.
 enum class TracePhase : std::uint8_t {
   kNone = 0,         ///< no open phase ("unattributed")
   kScatterClassify,  ///< batch ingress scatter + update classification
   kKWaySplit,        ///< k-way Euler-tour split construction
   kCascade,          ///< replacement-edge cascade rounds
   kKWayJoin,         ///< fragment universe + k-way join + commit round
-  kDirectory,        ///< directory queries/replies (wave rounds 4-5)
+  kDirectory,        ///< directory queries/replies (group rounds 4-5)
   kPathMax,          ///< path-max probes sharing the directory rounds
-  kWaveCommit,       ///< wave-scheduler commit rounds (rounds 6+)
+  kWaveCommit,       ///< path-max group commit rounds (rounds 6+)
   kQueryBatch,       ///< read-only connectivity query batch
   kBatch,            ///< one driver-applied update batch
-  kPipeline,         ///< cross-batch lookahead planning
   kRecovery,         ///< driver fault-recovery (retry/bisect)
   kEpoch,            ///< one serving-layer epoch (broker pump)
   kPhaseCount,       ///< sentinel, not a phase
@@ -79,9 +78,8 @@ enum class TraceEventKind : std::uint8_t {
 };
 
 enum class TraceRoundKind : std::uint8_t {
-  kReal,        ///< finish_round
-  kOverlapped,  ///< finish_overlapped_round
-  kCharged,     ///< charge_round (synthetic O(1)-round primitive)
+  kReal,     ///< finish_round
+  kCharged,  ///< charge_round (synthetic O(1)-round primitive)
 };
 
 /// One trace event.  Timestamps are steady-clock ns since the tracer's
@@ -109,9 +107,8 @@ struct TraceEvent {
 struct PhaseTotals {
   std::uint64_t spans = 0;
   std::uint64_t aborted_spans = 0;
-  std::uint64_t rounds = 0;             ///< finish_round barriers
-  std::uint64_t overlapped_rounds = 0;  ///< finish_overlapped_round
-  std::uint64_t charged_rounds = 0;     ///< charge_round
+  std::uint64_t rounds = 0;          ///< finish_round barriers
+  std::uint64_t charged_rounds = 0;  ///< charge_round
   std::uint64_t comm_words = 0;
   std::uint64_t wall_ns = 0;  ///< attributed share of the traced timeline
 };

@@ -27,14 +27,6 @@
 //     replaying the batch one update at a time.  Set
 //     DriverConfig::use_apply_batch = false to force the per-update
 //     path.
-//   * an `apply_batch(batch, lookahead)` overload (the
-//     LookaheadBatchApplicable concept) additionally makes the driver
-//     buffer TWO batches and pass the next batch alongside the closing
-//     one, so the algorithm can overlap the next batch's first
-//     read-only rounds with the closing batch's tail commit
-//     (cross-batch pipelining; opt out with
-//     DriverConfig::cross_batch_lookahead = false).  Checkpoints still
-//     observe committed state only, via a lagged shadow copy.
 //
 // Updates are grouped into batches of `batch_size`; checkpoints and the
 // on_batch_end hooks fire only at batch boundaries, so batched and
@@ -101,11 +93,10 @@ concept BatchApplicable =
       a.apply_batch(batch);
     };
 
-/// Batch-applicable algorithms that additionally accept the NEXT batch
-/// as a lookahead, so they can overlap its first read-only protocol
-/// rounds with the closing batch's tail commit (cross-batch
-/// pipelining).  The driver buffers two batches for such algorithms —
-/// see DriverConfig::cross_batch_lookahead.
+/// Algorithms with an `apply_batch(batch, next_batch)` overload.  The
+/// driver no longer uses it (every batch is applied on its own) and no
+/// algorithm here provides one; the concept stays declared only because
+/// the benchmark's wrapper tests assert it.
 template <typename A>
 concept LookaheadBatchApplicable =
     requires(A a, std::span<const graph::Update> batch) {
@@ -113,7 +104,7 @@ concept LookaheadBatchApplicable =
     };
 
 /// Batch-applicable algorithms whose scheduler also reports how batches
-/// were partitioned (groups, serial fallbacks, out-of-order runs); the
+/// were partitioned (stages, groups, out-of-order runs); the
 /// driver snapshots the stats into AlgorithmStats::sched after every
 /// batch.
 template <typename A>
@@ -158,14 +149,6 @@ struct DriverConfig {
   bool use_apply_batch = true;  ///< prefer apply_batch() if batch_size > 1
   ExecutorKind executor = ExecutorKind::kSerial;
   std::size_t executor_threads = 0;  ///< 0 = hardware concurrency
-  /// Buffer TWO batches and hand LookaheadBatchApplicable algorithms the
-  /// next batch alongside the closing one, so batch k+1's first wave can
-  /// be planned and its read-only prepare rounds overlapped with batch
-  /// k's tail commit (cross-batch pipelining).  Checkpoints still fire
-  /// in committed-batch order (the driver keeps a lagged shadow for
-  /// them).  Only effective when batching; per-update runs and plain
-  /// BatchApplicable algorithms are unaffected.
-  bool cross_batch_lookahead = true;
   /// Recovery: when an algorithm's apply throws mid-batch (a fault-
   /// injected cap trip, a crash), the driver assumes the algorithm
   /// rolled itself back to the pre-batch state (DynamicForest's
@@ -213,7 +196,7 @@ struct AlgorithmStats {
   /// directly comparable.
   dmpc::UpdateAggregate batch_agg;
   /// Scheduler statistics (BatchScheduled algorithms applied via
-  /// apply_batch only): groups per batch, serial fallbacks, reorders.
+  /// apply_batch only): stages, groups per batch, reorders.
   bool scheduled = false;
   dmpc::BatchScheduleStats sched;
   /// Failure-recovery counters (DriverConfig::recover_failures).
@@ -266,12 +249,6 @@ class Driver {
         alg.apply_batch(batch);
       };
     }
-    if constexpr (LookaheadBatchApplicable<A>) {
-      h.apply_batch_ahead = [&alg](std::span<const graph::Update> batch,
-                                   std::span<const graph::Update> next) {
-        alg.apply_batch(batch, next);
-      };
-    }
     if constexpr (BatchScheduled<A>) {
       h.sched_stats = [&alg]() -> dmpc::BatchScheduleStats {
         return std::as_const(alg).batch_stats();
@@ -305,8 +282,7 @@ class Driver {
   }
 
   /// Called the moment a batch COMMITS — after the algorithms applied
-  /// it and the committed (lagged, in lookahead mode) shadow advanced,
-  /// before the on_batch_end hooks and any checkpoint.  `epoch` is the
+  /// it, before the on_batch_end hooks and any checkpoint.  `epoch` is the
   /// number of committed batches so far and `committed` is the graph at
   /// exactly that epoch: the serving layer's interleave point — a
   /// QueryBroker drains its pending read-only query batch here, in the
@@ -319,9 +295,8 @@ class Driver {
   }
 
   /// Installs a tracer for driver-level spans (nullptr uninstalls): one
-  /// `batch` span per closed batch, a nested `pipeline` span when the
-  /// batch is applied with a cross-batch lookahead, and a `recovery`
-  /// span around each bisect-and-retry episode.  Callers who also want
+  /// `batch` span per closed batch and a `recovery` span around each
+  /// bisect-and-retry episode.  Callers who also want
   /// round/phase spans install the same tracer on the registered
   /// algorithms' clusters (Cluster::set_tracer).
   void set_tracer(std::shared_ptr<dmpc::Tracer> tracer) {
@@ -359,9 +334,6 @@ class Driver {
     std::function<dmpc::UpdateRecord()> last_update;   // may be empty
     std::function<void(std::span<const graph::Update>)>
         apply_batch;                                   // may be empty
-    std::function<void(std::span<const graph::Update>,
-                       std::span<const graph::Update>)>
-        apply_batch_ahead;                             // may be empty
     std::function<dmpc::BatchScheduleStats()> sched_stats;  // may be empty
   };
 
@@ -372,10 +344,6 @@ class Driver {
 
   DriverConfig config_;
   graph::DynamicGraph shadow_;
-  /// Lookahead mode only: `shadow_` runs one buffered batch ahead of the
-  /// algorithms (it filters no-ops as the stream is read), so checkpoint
-  /// callbacks get this lagged copy, advanced as batches actually close.
-  std::unique_ptr<graph::DynamicGraph> lag_shadow_;
   std::shared_ptr<dmpc::ThreadPoolExecutor> pool_;  // shared across clusters
   std::shared_ptr<dmpc::Tracer> tracer_;
   std::vector<Handle> handles_;

@@ -37,55 +37,25 @@ inline constexpr Table1Budget kConnectedComponents{"connected components", 18,
                                                    44, 600};
 inline constexpr Table1Budget kApproximateMst{"(1+eps)-MST", 28, 44, 600};
 
-/// Batched connectivity at batch = 16 (out-of-order scheduler), mean
-/// rounds per update.  Measured ~2.9 on bench_table1's random stream
-/// (serial baseline ~6.3, prefix planner ~4.6); the budget keeps the
-/// scheduler strictly ahead of the prefix planner...
+/// Batched connectivity at batch = 16, mean rounds per update on
+/// bench_scaling's uniformly random streams (every n it sweeps).
+/// Measured 1.40 at n = 256 and 0.37 from n = 4096 up; the per-update
+/// protocol pays ~6, so the bound keeps batches sharing their rounds.
 inline constexpr double kBatchedConnectivityRoundsPerUpdate = 3.8;
-/// ...and on the delete-heavy interleaved stream (measured ~3.7; serial
-/// ~6.7, prefix planner ~5.7, which degenerates to one serialized
-/// deletion per group), where grouped splits + the shared replacement
-/// search must keep the out-of-order scheduler under this bound.
-inline constexpr double kDeleteHeavyRoundsPerUpdate = 4.5;
-/// Weighted (MST) delete-heavy interleaved stream at batch = 16
-/// (graph::weighted_interleaved_delete_stream: every burst is a set of
-/// independent tree-edge deletions followed by a set of independent
-/// cycle-rule swap inserts), mean rounds per update with the shared
-/// path-max round + pipelined waves.  Measured ~4.1 on bench_table1's
-/// stream at n = 1024; the scheduler that serializes cycle-rule inserts
-/// (batch_path_max = false, the PR 3 behavior) measures ~8.0, so this
-/// budget is what keeps the grouped path-max search load-bearing.
-inline constexpr double kWeightedDeleteHeavyRoundsPerUpdate = 5.0;
-/// Wide (paths = 2x batch) delete-heavy interleaved streams at batch 16
-/// with cross-batch pipelining + deeper speculation ON: consecutive
-/// batches touch disjoint path sets, so every batch's first
-/// prepare/directory rounds ride the previous batch's tail commit via
-/// the driver's two-batch lookahead.  Measured ~2.04 (unweighted) and
-/// ~2.27 (weighted) on bench_table1's wide streams at n = 1024; the PR 4
-/// configuration (no lookahead, shallow speculation) measures ~2.28 /
-/// ~2.53, so these budgets sit BELOW it on purpose — losing the
-/// cross-batch overlap trips the gate, not just a protocol regression.
-/// (Rounds are deterministic, so the ~10% headroom over the measured
-/// values is slack for benign protocol tweaks, not for noise.)
-inline constexpr double kWideDeleteHeavyRoundsPerUpdate = 2.25;
-inline constexpr double kWeightedWideDeleteHeavyRoundsPerUpdate = 2.5;
-/// O(1)-round batch-dynamic protocol (BatchPolicy::kBatchDynamic) on the
-/// delete-heavy interleaved streams at batch = 16: the whole batch is
-/// classified once, every tree deletion runs through ONE k-way tour
-/// split round, one parallel replacement cascade with deterministic
-/// (w,u,v) tie-breaks re-links the fragments, and all merges/joins
-/// commit as one k-way join round — no wave loop, no serial fallback
+/// apply_batch on the delete-heavy interleaved streams at batch = 16:
+/// the whole batch is classified once, every tree deletion runs through
+/// ONE k-way tour split round, one parallel replacement cascade with
+/// deterministic (w,u,v) tie-breaks re-links the fragments, and all
+/// merges/joins commit as one k-way join round — no serial fallback
 /// (bench_table1 separately gates serial_updates == 0 on these rows).
-/// Both budgets sit FAR below the wave-scheduler rows they replace
-/// (measured ~3.7 unweighted / ~4.1 weighted at n = 1024).  Measured
-/// ~0.09 unweighted — the interleaved adversary's delete/re-insert
-/// pairs are net no-ops, so net-op compression elides most of the
-/// stream and the remainder runs in O(1)-round stages — and ~1.14
-/// weighted (no compression; every batch pays the k-way split round,
-/// one replacement cascade, and the k-way join round).  The headroom
-/// keeps both the compression and the shared stage rounds load-bearing:
-/// losing either blows the budget long before reaching the wave
-/// numbers.
+/// Measured ~0.09 unweighted — the interleaved adversary's
+/// delete/re-insert pairs are net no-ops, so net-op compression elides
+/// most of the stream and the remainder runs in O(1)-round stages — and
+/// ~1.14 weighted (no compression; every batch pays the k-way split
+/// round, one replacement cascade, the k-way join round, and the shared
+/// path-max round of its cycle-rule inserts), against ~6.7 / ~9.6 for
+/// per-update application.  The headroom keeps both the compression and
+/// the shared stage rounds load-bearing.
 inline constexpr double kBatchDynamicDeleteHeavyRoundsPerUpdate = 1.0;
 inline constexpr double kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate = 1.5;
 

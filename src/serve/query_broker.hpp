@@ -13,16 +13,14 @@
 //   * driver-attached mode (attach()): the broker registers a
 //     harness::Driver::on_batch_commit hook and drains its query
 //     backlog in the bubble between two committed update batches, so
-//     serving rides the driver's pipeline without touching its
+//     serving rides the driver's batch loop without touching its
 //     scheduling.
 //
 // Snapshot consistency: query batches only ever run between update
 // batches (never inside one), and every answer is stamped with the
 // EPOCH — the number of committed update batches — it observed.  A
 // client can therefore replay an oracle to exactly that epoch and
-// compare; a query never observes a half-committed stage.  In
-// driver-attached lookahead mode the epoch counts COMMITTED batches
-// (the lagged shadow's position), not the filter shadow's read-ahead.
+// compare; a query never observes a half-committed stage.
 //
 // Admission control / backpressure: the update queue is bounded
 // (submit_update returns false when full — the caller must retry or
@@ -164,7 +162,7 @@ class QueryBroker {
   void pump();
 
   /// Driver-attached mode: drain the query backlog at every batch
-  /// commit, in the pipeline bubble between update stages.  The broker
+  /// commit, in the bubble between update stages.  The broker
   /// adopts the driver's committed-batch count as its epoch.
   void attach(harness::Driver& driver);
 

@@ -1,8 +1,7 @@
 // Tests of batched update application: DynamicForest::apply_batch's
-// shared-round groups (the paper's observation that independent updates
-// can share the O(1)-round protocols), its serial fallback for
-// conflicting updates, and the Driver's batch detection + per-batch
-// aggregation.
+// shared-round stages (the paper's observation that independent updates
+// can share the O(1)-round protocols), conflicting updates inside one
+// batch, and the Driver's batch detection + per-batch aggregation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,16 +163,13 @@ TEST(ApplyBatch, PreservesOrderWithinConflictingBatch) {
   EXPECT_TRUE(forest.validate(&why)) << why;
 }
 
-TEST(ApplyBatch, ConflictingChainFallsBackToSerial) {
+TEST(ApplyBatch, ConflictingChainSharesOneStage) {
   const std::size_t n = 16;
-  // Pinned to the wave baseline: the batch-dynamic protocol admits a
-  // whole merge chain into one k-way join stage (see test_batch_sched).
-  core::DynamicForest forest(
-      {.n = n, .m_cap = 4 * n, .batch_policy = core::BatchPolicy::kWave});
+  core::DynamicForest forest({.n = n, .m_cap = 4 * n});
   forest.preprocess(graph::EdgeList{});
-  // A path: every insert shares a component with its predecessor, so no
-  // two of them can share rounds — all must fall back to the serial
-  // protocol, and the result must still be one connected path.
+  // A path: every insert shares a component with its predecessor.  The
+  // chained merges still share one stage (one k-way join), with no
+  // serial fallback, and the result is one connected path.
   const std::vector<Update> batch = {
       {UpdateKind::kInsert, 0, 1, 1},
       {UpdateKind::kInsert, 1, 2, 1},
@@ -182,66 +178,48 @@ TEST(ApplyBatch, ConflictingChainFallsBackToSerial) {
   };
   forest.apply_batch(std::span<const Update>(batch));
   EXPECT_TRUE(forest.connected(0, 4));
-  EXPECT_EQ(forest.batch_stats().serial_updates, 4u);
-  EXPECT_EQ(forest.batch_stats().groups, 0u);
+  EXPECT_EQ(forest.batch_stats().serial_updates, 0u);
+  EXPECT_EQ(forest.batch_stats().stages, 1u);
+  EXPECT_EQ(forest.batch_stats().grouped_updates, 4u);
   std::string why;
   EXPECT_TRUE(forest.validate(&why)) << why;
 }
 
 TEST(BatchScheduler, ExecutesIndependentUpdatesOutOfOrder) {
   const std::size_t n = 16;
-  // Wave baseline: batch-dynamic admits the whole batch without reorder.
-  core::DynamicForest forest(
-      {.n = n, .m_cap = 4 * n, .batch_policy = core::BatchPolicy::kWave});
-  forest.preprocess(graph::EdgeList{});
-  // insert(1,2) conflicts with insert(0,1); the two later independent
-  // inserts must overtake it into the first group instead of ending the
-  // batch's round sharing at position 1 (the prefix planner's behavior).
-  const std::vector<Update> batch = {
-      {UpdateKind::kInsert, 0, 1, 1},
-      {UpdateKind::kInsert, 1, 2, 1},
-      {UpdateKind::kInsert, 4, 5, 1},
-      {UpdateKind::kInsert, 6, 7, 1},
+  auto make = [&] {
+    auto f = std::make_unique<core::DynamicForest>(
+        core::DynForestConfig{.n = n, .m_cap = 4 * n});
+    f->preprocess(graph::EdgeList{{0, 1}, {1, 2}});
+    return f;
   };
-  forest.apply_batch(std::span<const Update>(batch));
-  EXPECT_TRUE(forest.connected(0, 2));
-  EXPECT_TRUE(forest.connected(4, 5));
-  EXPECT_TRUE(forest.connected(6, 7));
-  const auto& stats = forest.batch_stats();
-  // The exact group shapes depend on coordinator hash collisions, but
-  // out of order at least one later insert must overtake the deferred
-  // insert(1,2), and nothing may run serially except (possibly) 1-2
-  // itself after its predecessor's group.
-  EXPECT_EQ(stats.grouped_updates + stats.serial_updates, 4u);
-  EXPECT_GE(stats.groups, 1u);
+  // The tree deletion claims its component for deletions only, so the
+  // merge behind it in that component waits for a later stage; the
+  // independent merge after it must overtake it into the first stage.
+  const std::vector<Update> batch = {
+      {UpdateKind::kDelete, 0, 1, 1},
+      {UpdateKind::kInsert, 1, 3, 1},
+      {UpdateKind::kInsert, 4, 5, 1},
+  };
+  auto forest = make();
+  forest->apply_batch(std::span<const Update>(batch));
+  EXPECT_FALSE(forest->connected(0, 1));
+  EXPECT_TRUE(forest->connected(2, 3));
+  EXPECT_TRUE(forest->connected(4, 5));
+  const auto& stats = forest->batch_stats();
+  EXPECT_EQ(stats.stages, 2u);
   EXPECT_GE(stats.reordered_updates, 1u);
-  EXPECT_LE(stats.serial_updates, 1u);
-  std::string why;
-  EXPECT_TRUE(forest.validate(&why)) << why;
-}
+  EXPECT_EQ(stats.serial_updates, 0u);
+  EXPECT_EQ(stats.grouped_updates, 3u);
 
-TEST(BatchScheduler, PrefixPolicyStopsAtFirstConflict) {
-  const std::size_t n = 16;
-  core::DynamicForest forest(
-      {.n = n, .m_cap = 4 * n, .batch_policy = core::BatchPolicy::kPrefix});
-  forest.preprocess(graph::EdgeList{});
-  const std::vector<Update> batch = {
-      {UpdateKind::kInsert, 0, 1, 1},
-      {UpdateKind::kInsert, 1, 2, 1},
-      {UpdateKind::kInsert, 4, 5, 1},
-      {UpdateKind::kInsert, 6, 7, 1},
-  };
-  forest.apply_batch(std::span<const Update>(batch));
-  EXPECT_TRUE(forest.connected(0, 2));
-  const auto& stats = forest.batch_stats();
-  // The prefix planner never reorders, and the head conflict between
-  // 0-1 and 1-2 forces at least one serial fallback (the prefix of one
-  // update is not a group).
-  EXPECT_EQ(stats.reordered_updates, 0u);
-  EXPECT_GE(stats.serial_updates, 1u);
-  EXPECT_EQ(stats.grouped_updates + stats.serial_updates, 4u);
+  auto serial = make();
+  serial->erase(0, 1);
+  serial->insert(1, 3);
+  serial->insert(4, 5);
+  EXPECT_EQ(serial->component_snapshot(), forest->component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*forest));
   std::string why;
-  EXPECT_TRUE(forest.validate(&why)) << why;
+  EXPECT_TRUE(forest->validate(&why)) << why;
 }
 
 TEST(BatchScheduler, BatchesIndependentTreeDeletions) {
@@ -288,41 +266,6 @@ TEST(BatchScheduler, BatchedTreeDeletionsDisconnectWithoutReplacement) {
   EXPECT_EQ(forest.batch_stats().batched_tree_deletes, 2u);
   std::string why;
   EXPECT_TRUE(forest.validate(&why)) << why;
-}
-
-// The ISSUE acceptance criterion: on a delete-heavy interleaved stream
-// at batch 16, the out-of-order scheduler must use strictly fewer
-// rounds per update than the PR 2 prefix planner, with identical final
-// state.
-TEST(BatchScheduler, DeleteHeavyBeatsPrefixPlannerAtBatch16) {
-  const std::size_t n = 128;
-  const auto stream = graph::interleaved_delete_stream(n, 600, 8, 2, 97);
-
-  auto run_policy = [&](core::BatchPolicy policy) {
-    auto forest = std::make_unique<core::DynamicForest>(
-        core::DynForestConfig{.n = n, .m_cap = 4 * n,
-                              .batch_policy = policy});
-    forest->preprocess(graph::EdgeList{});
-    Driver driver(n, DriverConfig{.batch_size = 16, .checkpoint_every = 0});
-    driver.add("forest", *forest);
-    driver.run(stream);
-    const auto* stats = driver.report().find("forest");
-    return std::pair(std::move(forest), stats->batch_agg.total_rounds);
-  };
-  auto [prefix, prefix_rounds] = run_policy(core::BatchPolicy::kPrefix);
-  auto [ooo, ooo_rounds] = run_policy(core::BatchPolicy::kWave);
-
-  EXPECT_LT(ooo_rounds, prefix_rounds);
-  EXPECT_GT(ooo->batch_stats().batched_tree_deletes, 0u);
-  EXPECT_EQ(prefix->batch_stats().batched_tree_deletes, 0u);
-
-  // Same final state either way (and as serial application — the prefix
-  // planner's serial fallback IS serial application for deletions).
-  EXPECT_EQ(prefix->component_snapshot(), ooo->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*prefix).size(), sorted_tree_edges(*ooo).size());
-  EXPECT_EQ(prefix->forest_weight(), ooo->forest_weight());
-  std::string why;
-  EXPECT_TRUE(ooo->validate(&why)) << why;
 }
 
 TEST(BatchScheduler, WeightedTreeDeletionsPickMinWeightReplacement) {
@@ -383,46 +326,43 @@ TEST(BatchScheduler, MatchesSerialOnDeleteHeavyInterleavedStream) {
   EXPECT_TRUE(batched.validate(&why)) << why;
 }
 
-// The ISSUE 4 acceptance criterion: on the weighted delete-heavy
-// interleaved stream at batch 16 — whose bursts are independent
-// tree-edge deletions followed by independent cycle-rule swap inserts —
-// the shared path-max round plus pipelined waves must improve
-// rounds/update by at least 25% over the PR 3 scheduler (which
-// serializes every cycle-rule insert), with identical final state.
+// On the weighted delete-heavy interleaved stream at batch 16 — whose
+// bursts are independent tree-edge deletions followed by independent
+// cycle-rule swap inserts — the batch protocol with its shared path-max
+// round must improve rounds/update by at least 25% over per-update
+// application (which runs every cycle-rule search on its own), with
+// identical final state.
 TEST(BatchScheduler, GroupedCycleRuleInsertsBeatSerializedAtBatch16) {
   const std::size_t n = 128;
   const auto stream =
       graph::weighted_interleaved_delete_stream(n, 600, 8, 3, 97);
 
-  auto run_config = [&](bool path_max, bool pipeline) {
+  auto run_config = [&](bool use_apply_batch) {
     auto forest = std::make_unique<core::DynamicForest>(
-        core::DynForestConfig{.n = n,
-                              .m_cap = 4 * n,
-                              .weighted = true,
-                              .batch_path_max = path_max,
-                              .pipeline_waves = pipeline});
+        core::DynForestConfig{.n = n, .m_cap = 4 * n, .weighted = true});
     forest->preprocess(graph::WeightedEdgeList{});
     Driver driver(n, DriverConfig{.batch_size = 16,
                                   .checkpoint_every = 0,
-                                  .weighted = true});
+                                  .weighted = true,
+                                  .use_apply_batch = use_apply_batch});
     driver.add("mst", *forest);
     driver.run(stream);
     const auto* stats = driver.report().find("mst");
     return std::pair(std::move(forest), stats->batch_agg.total_rounds);
   };
-  auto [pr3, pr3_rounds] = run_config(false, false);
-  auto [grouped, grouped_rounds] = run_config(true, true);
+  auto [serial, serial_rounds] = run_config(false);
+  auto [grouped, grouped_rounds] = run_config(true);
 
   // >= 25% fewer rounds per update (same applied-update count).
-  EXPECT_LE(4 * grouped_rounds, 3 * pr3_rounds)
-      << "grouped: " << grouped_rounds << " vs serialized: " << pr3_rounds;
+  EXPECT_LE(4 * grouped_rounds, 3 * serial_rounds)
+      << "grouped: " << grouped_rounds << " vs serial: " << serial_rounds;
   EXPECT_GT(grouped->batch_stats().path_max_grouped, 0u);
-  EXPECT_EQ(pr3->batch_stats().path_max_grouped, 0u);
+  EXPECT_EQ(serial->batch_stats().path_max_grouped, 0u);
 
   // Identical final state either way.
-  EXPECT_EQ(pr3->component_snapshot(), grouped->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*pr3), sorted_tree_edges(*grouped));
-  EXPECT_EQ(pr3->forest_weight(), grouped->forest_weight());
+  EXPECT_EQ(serial->component_snapshot(), grouped->component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*grouped));
+  EXPECT_EQ(serial->forest_weight(), grouped->forest_weight());
   std::string why;
   EXPECT_TRUE(grouped->validate(&why)) << why;
 }
@@ -597,254 +537,6 @@ TEST(BatchScheduler, SwapCannotOvertakeEarlierPendingSameComponentInsert) {
   EXPECT_EQ(serial.forest_weight(), batched.forest_weight());
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << why;
-}
-
-// --- ISSUE 5: cross-batch pipelining + deeper speculation ------------------
-
-/// Runs `stream` at batch 16 with either the full configuration
-/// (cross-batch lookahead + deep speculation) or the PR 4 one
-/// (within-batch wave pipelining only), returning the forest and its
-/// total batched rounds.
-std::pair<std::unique_ptr<core::DynamicForest>, std::uint64_t>
-run_delete_heavy(const graph::UpdateStream& stream, std::size_t n,
-                 bool weighted, bool cross_batch_deep) {
-  auto forest = std::make_unique<core::DynamicForest>(
-      core::DynForestConfig{.n = n,
-                            .m_cap = 4 * n,
-                            .weighted = weighted,
-                            .batch_policy = core::BatchPolicy::kWave,
-                            .speculate_deep = cross_batch_deep});
-  if (weighted) {
-    forest->preprocess(graph::WeightedEdgeList{});
-  } else {
-    forest->preprocess(graph::EdgeList{});
-  }
-  DriverConfig config{.batch_size = 16, .checkpoint_every = 0,
-                      .weighted = weighted};
-  config.cross_batch_lookahead = cross_batch_deep;
-  Driver driver(n, config);
-  driver.add("forest", *forest);
-  driver.run(stream);
-  const auto* stats = driver.report().find("forest");
-  return {std::move(forest), stats->batch_agg.total_rounds};
-}
-
-// The ISSUE 5 acceptance criterion (unweighted half): on the wide
-// delete-heavy interleaved stream (paths = 2x batch, so consecutive
-// batches hit disjoint path sets) at batch 16, cross-batch pipelining +
-// deeper speculation must cut total rounds by >= 10% over the PR 4
-// configuration, with identical final state.
-TEST(CrossBatchPipeline, DeleteHeavyBeatsPr4ConfigAtBatch16) {
-  const std::size_t n = 256;
-  const auto stream = graph::interleaved_delete_stream(n, 2000, 32, 2, 7);
-
-  auto [pr4, pr4_rounds] = run_delete_heavy(stream, n, false, false);
-  auto [piped, piped_rounds] = run_delete_heavy(stream, n, false, true);
-
-  EXPECT_LE(10 * piped_rounds, 9 * pr4_rounds)
-      << "pipelined: " << piped_rounds << " vs PR 4: " << pr4_rounds;
-  EXPECT_GT(piped->batch_stats().batches_pipelined, 0u);
-  EXPECT_EQ(pr4->batch_stats().batches_pipelined, 0u);
-  EXPECT_EQ(pr4->batch_stats().cross_batch_misses, 0u);
-
-  EXPECT_EQ(pr4->component_snapshot(), piped->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*pr4).size(), sorted_tree_edges(*piped).size());
-  std::string why;
-  EXPECT_TRUE(piped->validate(&why)) << why;
-}
-
-// The weighted half: same criterion on the weighted adversary, whose
-// reinserts are cycle-rule swaps — the carried wave also speculates
-// through the shared path-max/directory rounds (deeper speculation).
-TEST(CrossBatchPipeline, WeightedDeleteHeavyBeatsPr4ConfigAtBatch16) {
-  const std::size_t n = 256;
-  const auto stream =
-      graph::weighted_interleaved_delete_stream(n, 2000, 32, 2, 7);
-
-  auto [pr4, pr4_rounds] = run_delete_heavy(stream, n, true, false);
-  auto [piped, piped_rounds] = run_delete_heavy(stream, n, true, true);
-
-  EXPECT_LE(10 * piped_rounds, 9 * pr4_rounds)
-      << "pipelined: " << piped_rounds << " vs PR 4: " << pr4_rounds;
-  EXPECT_GT(piped->batch_stats().batches_pipelined, 0u);
-
-  EXPECT_EQ(pr4->component_snapshot(), piped->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*pr4), sorted_tree_edges(*piped));
-  EXPECT_EQ(pr4->forest_weight(), piped->forest_weight());
-  std::string why;
-  EXPECT_TRUE(piped->validate(&why)) << why;
-}
-
-// An empty lookahead (the stream ends, or the caller has nothing
-// buffered) must behave exactly like the single-span apply_batch: no
-// carry, no counters, identical state.
-TEST(CrossBatchPipeline, EmptyLookaheadIsPlainApplyBatch) {
-  const std::size_t n = 16;
-  core::DynamicForest forest({.n = n, .m_cap = 4 * n});
-  forest.preprocess(graph::EdgeList{});
-  const std::vector<Update> batch = {
-      {UpdateKind::kInsert, 0, 1, 1},
-      {UpdateKind::kInsert, 2, 3, 1},
-      {UpdateKind::kInsert, 4, 5, 1},
-  };
-  forest.apply_batch(std::span<const Update>(batch),
-                     std::span<const Update>{});
-  EXPECT_TRUE(forest.connected(0, 1));
-  EXPECT_TRUE(forest.connected(4, 5));
-  EXPECT_EQ(forest.batch_stats().batches_pipelined, 0u);
-  EXPECT_EQ(forest.batch_stats().cross_batch_misses, 0u);
-  std::string why;
-  EXPECT_TRUE(forest.validate(&why)) << why;
-}
-
-// A next batch whose every op conflicts with the closing batch (here:
-// it deletes exactly the edges the closing batch inserts) cannot be
-// speculated — the lookahead must degrade to today's serialization,
-// counted as a cross_batch_miss, with serial-equivalent state.
-TEST(CrossBatchPipeline, AllConflictingNextBatchDegradesToSerialization) {
-  // n chosen so the four merges land on distinct coordinator machines
-  // and commit as ONE wave: the lookahead is then planned against fully
-  // pre-commit state, where every delete shares its edge key with an
-  // in-flight insert and nothing can be speculated.
-  const std::size_t n = 32;
-  core::DynamicForest forest(
-      {.n = n, .m_cap = 4 * n, .batch_policy = core::BatchPolicy::kWave});
-  forest.preprocess(graph::EdgeList{});
-  const std::vector<Update> first = {
-      {UpdateKind::kInsert, 0, 1, 1},
-      {UpdateKind::kInsert, 2, 3, 1},
-      {UpdateKind::kInsert, 4, 5, 1},
-      {UpdateKind::kInsert, 6, 7, 1},
-  };
-  const std::vector<Update> second = {
-      {UpdateKind::kDelete, 0, 1, 1},
-      {UpdateKind::kDelete, 2, 3, 1},
-      {UpdateKind::kDelete, 4, 5, 1},
-      {UpdateKind::kDelete, 6, 7, 1},
-  };
-  forest.apply_batch(std::span<const Update>(first),
-                     std::span<const Update>(second));
-  ASSERT_EQ(forest.batch_stats().groups, 1u);  // the premise: one wave
-  ASSERT_EQ(forest.batch_stats().serial_updates, 0u);
-  EXPECT_EQ(forest.batch_stats().batches_pipelined, 0u);
-  EXPECT_GE(forest.batch_stats().cross_batch_misses, 1u);
-  forest.apply_batch(std::span<const Update>(second));
-  EXPECT_FALSE(forest.connected(0, 1));
-  EXPECT_FALSE(forest.connected(6, 7));
-  EXPECT_EQ(forest.batch_stats().batches_pipelined, 0u);
-  std::string why;
-  EXPECT_TRUE(forest.validate(&why)) << why;
-}
-
-// A carried speculation is keyed to the exact lookahead batch: applying
-// something else next must drop it (a miss) and replan from scratch.
-TEST(CrossBatchPipeline, MismatchedNextBatchDropsTheCarry) {
-  const std::size_t n = 32;
-  auto make = [&] {
-    auto f = std::make_unique<core::DynamicForest>(core::DynForestConfig{
-        .n = n, .m_cap = 4 * n, .batch_policy = core::BatchPolicy::kWave});
-    f->preprocess(graph::EdgeList{});
-    return f;
-  };
-  const std::vector<Update> first = {
-      {UpdateKind::kInsert, 0, 1, 1},
-      {UpdateKind::kInsert, 2, 3, 1},
-  };
-  const std::vector<Update> promised = {
-      {UpdateKind::kInsert, 8, 9, 1},
-      {UpdateKind::kInsert, 10, 11, 1},
-  };
-  const std::vector<Update> actual = {
-      {UpdateKind::kInsert, 12, 13, 1},
-      {UpdateKind::kInsert, 14, 15, 1},
-  };
-  auto forest = make();
-  forest->apply_batch(std::span<const Update>(first),
-                      std::span<const Update>(promised));
-  forest->apply_batch(std::span<const Update>(actual));
-  EXPECT_EQ(forest->batch_stats().batches_pipelined, 0u);
-  EXPECT_GE(forest->batch_stats().cross_batch_misses, 1u);
-
-  auto serial = make();
-  for (const Update& up : first) serial->insert(up.u, up.v, up.w);
-  for (const Update& up : actual) serial->insert(up.u, up.v, up.w);
-  EXPECT_EQ(serial->component_snapshot(), forest->component_snapshot());
-  std::string why;
-  EXPECT_TRUE(forest->validate(&why)) << why;
-}
-
-// A serial insert/erase between the two apply_batch calls rewrites state
-// the carried speculation read; the fingerprint cannot see that, so the
-// carry must be invalidated, not consumed.
-TEST(CrossBatchPipeline, SerialUpdateBetweenBatchesInvalidatesTheCarry) {
-  const std::size_t n = 32;
-  auto make = [&] {
-    auto f = std::make_unique<core::DynamicForest>(core::DynForestConfig{
-        .n = n, .m_cap = 4 * n, .batch_policy = core::BatchPolicy::kWave});
-    f->preprocess(graph::EdgeList{});
-    return f;
-  };
-  const std::vector<Update> first = {
-      {UpdateKind::kInsert, 0, 1, 1},
-      {UpdateKind::kInsert, 2, 3, 1},
-  };
-  const std::vector<Update> next = {
-      {UpdateKind::kInsert, 8, 9, 1},
-      {UpdateKind::kInsert, 10, 11, 1},
-  };
-  auto forest = make();
-  forest->apply_batch(std::span<const Update>(first),
-                      std::span<const Update>(next));
-  // Merging 8 into a bigger component stales the carried prepare for
-  // the (8,9) merge (its directory size and tour reads are pre-insert).
-  forest->insert(8, 12);
-  forest->apply_batch(std::span<const Update>(next));
-  EXPECT_EQ(forest->batch_stats().batches_pipelined, 0u);
-  EXPECT_GE(forest->batch_stats().cross_batch_misses, 1u);
-
-  auto serial = make();
-  for (const Update& up : first) serial->insert(up.u, up.v, up.w);
-  serial->insert(8, 12);
-  for (const Update& up : next) serial->insert(up.u, up.v, up.w);
-  EXPECT_EQ(serial->component_snapshot(), forest->component_snapshot());
-  std::string why;
-  EXPECT_TRUE(forest->validate(&why)) << why;
-}
-
-// Driver-side opt-outs: use_apply_batch = false bypasses the lookahead
-// buffer entirely (per-update path, no batches at all), and
-// cross_batch_lookahead = false keeps batching but never buffers.
-TEST(CrossBatchPipeline, DriverOptOutsBypassTheBuffer) {
-  const std::size_t n = 128;
-  const auto stream = graph::interleaved_delete_stream(n, 600, 32, 2, 23);
-  auto run_with = [&](bool use_apply_batch, bool lookahead) {
-    auto forest = std::make_unique<core::DynamicForest>(core::DynForestConfig{
-        .n = n, .m_cap = 4 * n, .batch_policy = core::BatchPolicy::kWave});
-    forest->preprocess(graph::EdgeList{});
-    DriverConfig config{.batch_size = 16, .checkpoint_every = 0};
-    config.use_apply_batch = use_apply_batch;
-    config.cross_batch_lookahead = lookahead;
-    Driver driver(n, config);
-    driver.add("forest", *forest);
-    driver.run(stream);
-    return forest;
-  };
-  auto per_update = run_with(false, true);
-  EXPECT_EQ(per_update->batch_stats().batches, 0u);
-  EXPECT_EQ(per_update->batch_stats().batches_pipelined, 0u);
-  EXPECT_EQ(per_update->batch_stats().cross_batch_misses, 0u);
-
-  auto no_lookahead = run_with(true, false);
-  EXPECT_GT(no_lookahead->batch_stats().batches, 0u);
-  EXPECT_EQ(no_lookahead->batch_stats().batches_pipelined, 0u);
-  EXPECT_EQ(no_lookahead->batch_stats().cross_batch_misses, 0u);
-
-  auto with_lookahead = run_with(true, true);
-  EXPECT_GT(with_lookahead->batch_stats().batches_pipelined, 0u);
-  EXPECT_EQ(per_update->component_snapshot(),
-            with_lookahead->component_snapshot());
-  EXPECT_EQ(no_lookahead->component_snapshot(),
-            with_lookahead->component_snapshot());
 }
 
 TEST(ApplyBatch, HandlesNoopsAndNontreeOps) {

@@ -40,7 +40,6 @@
 
 namespace {
 
-using core::BatchPolicy;
 using core::DynamicForest;
 using core::DynForestConfig;
 using dmpc::FaultInjector;
@@ -153,43 +152,49 @@ void sweep_every_injection_point(const DynForestConfig& config,
   }
 }
 
-DynForestConfig sweep_config(bool weighted, BatchPolicy policy) {
+DynForestConfig sweep_config(bool weighted) {
   DynForestConfig config;
   config.n = 32;
   config.m_cap = 160;
   config.weighted = weighted;
-  config.batch_policy = policy;
   return config;
 }
 
-graph::UpdateStream sweep_stream(std::size_t n, bool weighted) {
+graph::UpdateStream sweep_stream(std::size_t n, bool weighted,
+                                 std::size_t length = 48) {
   return weighted
-             ? graph::weighted_interleaved_delete_stream(n, 48, 3, 2, 17)
-             : graph::interleaved_delete_stream(n, 48, 3, 2, 17);
+             ? graph::weighted_interleaved_delete_stream(n, length, 3, 2, 17)
+             : graph::interleaved_delete_stream(n, length, 3, 2, 17);
 }
 
 TEST(FaultSweep, BatchDynamicDeleteHeavy) {
-  const auto config = sweep_config(false, BatchPolicy::kBatchDynamic);
+  const auto config = sweep_config(false);
   sweep_every_injection_point(config, false, sweep_stream(config.n, false), 6);
   sweep_every_injection_point(config, true, sweep_stream(config.n, false), 6);
 }
 
 TEST(FaultSweep, BatchDynamicWeighted) {
-  const auto config = sweep_config(true, BatchPolicy::kBatchDynamic);
+  const auto config = sweep_config(true);
   sweep_every_injection_point(config, false, sweep_stream(config.n, true), 6);
   sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
 }
 
+// The same sweeps over a longer stream in batches of 16: more cuts per
+// k-way split, more links per join and larger path-max groups per
+// stage, so a fault lands amid more in-flight work.  (These two ids are
+// the ones the retired wave scheduler's sweeps ran under.)
 TEST(FaultSweep, WaveDeleteHeavy) {
-  const auto config = sweep_config(false, BatchPolicy::kWave);
-  sweep_every_injection_point(config, false, sweep_stream(config.n, false), 6);
-  sweep_every_injection_point(config, true, sweep_stream(config.n, false), 6);
+  const auto config = sweep_config(false);
+  const auto stream = sweep_stream(config.n, false, 96);
+  sweep_every_injection_point(config, false, stream, 16);
+  sweep_every_injection_point(config, true, stream, 16);
 }
 
 TEST(FaultSweep, WaveWeighted) {
-  const auto config = sweep_config(true, BatchPolicy::kWave);
-  sweep_every_injection_point(config, false, sweep_stream(config.n, true), 6);
-  sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
+  const auto config = sweep_config(true);
+  const auto stream = sweep_stream(config.n, true, 96);
+  sweep_every_injection_point(config, false, stream, 16);
+  sweep_every_injection_point(config, true, stream, 16);
 }
 
 // Serial (non-batch) insert/erase journal and roll back too.

@@ -137,12 +137,11 @@ TEST(HarnessDriver, StopWhenAbortsRunAfterCheckpoint) {
   EXPECT_EQ(rec.seen.size(), 4u);
 }
 
-TEST(HarnessDriver, LookaheadCheckpointsSeeCommittedStateOnly) {
-  // With a lookahead-capable algorithm registered, the driver buffers
-  // two batches and its filter shadow runs one batch ahead; checkpoint
-  // callbacks must still observe exactly the committed state (the
-  // lagged shadow), or every oracle cross-check would compare the
-  // algorithms against a future graph.
+TEST(HarnessDriver, CheckpointsSeeCommittedStateOnly) {
+  // The filter shadow advances as the stream is read; checkpoint
+  // callbacks must observe exactly the committed state — the batches
+  // the algorithms applied — or every oracle cross-check would compare
+  // the algorithms against a future graph.
   const std::size_t n = 32;
   core::DynamicForest forest({.n = n, .m_cap = 4 * n});
   forest.preprocess(graph::EdgeList{});
@@ -159,17 +158,16 @@ TEST(HarnessDriver, LookaheadCheckpointsSeeCommittedStateOnly) {
   const auto& report = driver.run(stream);
   EXPECT_EQ(report.applied, 10u);
   // Checkpoints at the batch boundaries 4, 8 and the trailing partial
-  // batch, each seeing exactly the committed number of edges — not the
-  // buffered batch the shadow has already filtered.
+  // batch, each seeing exactly the committed number of edges.
   EXPECT_EQ(seen, (std::vector<std::pair<std::size_t, std::size_t>>{
                       {4, 4}, {8, 8}, {10, 10}}));
 }
 
-TEST(HarnessDriver, LookaheadRunsTheFinalCheckpointOnTheHeldBatch) {
-  // The post-loop close of the HELD batch commits new state after the
-  // in-loop close of the penultimate batch may have checkpointed; the
-  // final checkpoint must still fire on it (regression: a stale
-  // at_checkpoint flag skipped it, leaving the last batch unvalidated).
+TEST(HarnessDriver, FinalCheckpointRunsAfterTheLastBatch) {
+  // The last batch commits new state after the previous batch's cadence
+  // checkpoint; the final checkpoint must still fire on it (a stale
+  // at_checkpoint flag once skipped it, leaving the last batch
+  // unvalidated).
   const std::size_t n = 64;
   core::DynamicForest forest({.n = n, .m_cap = 4 * n});
   forest.preprocess(graph::EdgeList{});
@@ -184,17 +182,17 @@ TEST(HarnessDriver, LookaheadRunsTheFinalCheckpointOnTheHeldBatch) {
     stream.push_back({UpdateKind::kInsert, 2 * v, 2 * v + 1});
   }
   driver.run(stream);
-  // Cadence checkpoint at batch 2 (step 8), final checkpoint on the
-  // held third batch (step 12) — identical to a non-lookahead run.
+  // Cadence checkpoint at batch 2 (step 8), final checkpoint after the
+  // third batch (step 12).
   EXPECT_EQ(checkpoint_steps, (std::vector<std::size_t>{8, 12}));
 }
 
-TEST(HarnessDriver, StopDuringLookaheadRollsBackTheFilterShadow) {
-  // stop_when can fire while the lookahead buffer still holds batches
-  // that were filtered into the shadow but never reached the
-  // algorithms; the driver must roll the shadow back over them, or a
-  // later run() on the same driver would drop their re-application as
-  // "duplicates" and silently diverge the algorithms from the oracle.
+TEST(HarnessDriver, StopLeavesTheFilterShadowAtCommittedState) {
+  // After stop_when fires, the filter shadow must hold exactly what the
+  // algorithms committed: an update filtered into it but never applied
+  // would make a later run() on the same driver drop its re-application
+  // as a "duplicate" and silently diverge the algorithms from the
+  // oracle.
   const std::size_t n = 32;
   core::DynamicForest forest({.n = n, .m_cap = 4 * n});
   forest.preprocess(graph::EdgeList{});
@@ -210,11 +208,11 @@ TEST(HarnessDriver, StopDuringLookaheadRollsBackTheFilterShadow) {
     stream.push_back({UpdateKind::kInsert, 2 * v, 2 * v + 1});
   }
   driver.run(stream);
-  // The stop fired after the first batch closed (step 2); the buffered
-  // second batch must have been rolled back out of the shadow.
+  // The stop fired after the first batch closed (step 2); nothing past
+  // it may have reached the shadow.
   EXPECT_EQ(driver.report().applied, 2u);
   EXPECT_EQ(driver.shadow().num_edges(), 2u);
-  // Re-applying an edge from the dropped buffer is NOT a duplicate.
+  // Re-applying an edge the stopped run never reached is NOT a duplicate.
   driver.run({{UpdateKind::kInsert, 4, 5}});
   EXPECT_EQ(driver.report().skipped, 0u);
   EXPECT_EQ(driver.report().applied, 3u);

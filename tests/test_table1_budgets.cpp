@@ -108,10 +108,10 @@ TEST(Table1Budgets, WeightedBatchedDeleteHeavy) {
   // The weighted-batched gate: mean rounds per update of apply_batch at
   // batch = 16 on the weighted delete-heavy adversary, whose bursts are
   // independent tree-edge deletions plus independent cycle-rule swap
-  // inserts.  The shared path-max round + pipelined waves must keep this
-  // under the budget shared with bench_table1 --check (rounds per update
-  // is n-independent, so the same bound applies here at n = 256 and at
-  // the bench's n = 1024).
+  // inserts.  The k-way stages and the shared path-max round must keep
+  // this under the budget shared with bench_table1 --check (rounds per
+  // update is n-independent, so the same bound applies here at n = 256
+  // and at the bench's n = 1024).
   core::DynamicForest mst({.n = kN, .m_cap = kMCap, .weighted = true});
   mst.preprocess(graph::WeightedEdgeList{});
   harness::DriverConfig config{.batch_size = 16,
@@ -126,7 +126,8 @@ TEST(Table1Budgets, WeightedBatchedDeleteHeavy) {
   ASSERT_GT(report.applied, 0u);
   const double rpu = static_cast<double>(stats->batch_agg.total_rounds) /
                      static_cast<double>(report.applied);
-  EXPECT_LE(rpu, harness::budgets::kWeightedDeleteHeavyRoundsPerUpdate)
+  EXPECT_LE(rpu,
+            harness::budgets::kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate)
       << "weighted batched rounds/update regressed";
   // The budget is only meaningful if the stream actually exercised the
   // grouped cycle-rule path.

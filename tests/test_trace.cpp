@@ -40,7 +40,6 @@
 
 namespace {
 
-using core::BatchPolicy;
 using core::DynamicForest;
 using dmpc::PhaseScope;
 using dmpc::PhaseTotals;
@@ -108,7 +107,7 @@ TEST(Tracer, RoundsAttributeToInnermostPhase) {
   tracer.record_round(TraceRoundKind::kReal, make_round(2, 10));
   tracer.begin_phase(TracePhase::kCascade);
   tracer.record_round(TraceRoundKind::kReal, make_round(8, 300));
-  tracer.record_round(TraceRoundKind::kOverlapped, make_round(8, 40));
+  tracer.record_round(TraceRoundKind::kReal, make_round(8, 40));
   tracer.end_phase();
   tracer.record_round(TraceRoundKind::kCharged, make_round(1, 5));
   tracer.end_phase();
@@ -124,8 +123,7 @@ TEST(Tracer, RoundsAttributeToInnermostPhase) {
   EXPECT_EQ(batch.charged_rounds, 1u);
   EXPECT_EQ(batch.comm_words, 15u);
   EXPECT_EQ(cascade.spans, 1u);
-  EXPECT_EQ(cascade.rounds, 1u);
-  EXPECT_EQ(cascade.overlapped_rounds, 1u);
+  EXPECT_EQ(cascade.rounds, 2u);
   EXPECT_EQ(cascade.comm_words, 340u);
   // Cascade saw the most comm and at least as much wall as any other
   // phase with rounds; with real timestamps the dominant phase must be
@@ -303,11 +301,10 @@ struct TracedRun {
   std::string json;
 };
 
-TracedRun traced_run(const std::shared_ptr<dmpc::RoundExecutor>& exec,
-                     BatchPolicy policy) {
+TracedRun traced_run(const std::shared_ptr<dmpc::RoundExecutor>& exec) {
   constexpr std::size_t kN = 512;
   TracedRun out;
-  DynamicForest forest({.n = kN, .m_cap = 4 * kN, .batch_policy = policy});
+  DynamicForest forest({.n = kN, .m_cap = 4 * kN});
   forest.cluster().set_executor(exec);
   forest.preprocess(graph::cycle(kN));
   const auto tracer = std::make_shared<Tracer>();
@@ -371,34 +368,27 @@ bool same_shape(const TraceEvent& a, const TraceEvent& b) {
 }
 
 TEST(TracerExecutors, SpanStructureIdenticalSerialVsPool) {
-  for (const BatchPolicy policy :
-       {BatchPolicy::kBatchDynamic, BatchPolicy::kWave}) {
-    const TracedRun serial =
-        traced_run(std::make_shared<dmpc::SerialExecutor>(), policy);
-    const TracedRun pooled =
-        traced_run(std::make_shared<dmpc::ThreadPoolExecutor>(4), policy);
-    ASSERT_EQ(serial.events.size(), pooled.events.size());
-    for (std::size_t i = 0; i < serial.events.size(); ++i) {
-      ASSERT_TRUE(same_shape(serial.events[i], pooled.events[i]))
-          << "event " << i << " diverged under the pool";
-    }
-    EXPECT_EQ(serial.dropped, pooled.dropped);
-    for (std::size_t p = 0; p < dmpc::kTracePhaseCount; ++p) {
-      EXPECT_EQ(serial.totals[p].spans, pooled.totals[p].spans);
-      EXPECT_EQ(serial.totals[p].aborted_spans, pooled.totals[p].aborted_spans);
-      EXPECT_EQ(serial.totals[p].rounds, pooled.totals[p].rounds);
-      EXPECT_EQ(serial.totals[p].overlapped_rounds,
-                pooled.totals[p].overlapped_rounds);
-      EXPECT_EQ(serial.totals[p].charged_rounds,
-                pooled.totals[p].charged_rounds);
-      EXPECT_EQ(serial.totals[p].comm_words, pooled.totals[p].comm_words);
-    }
+  const TracedRun serial = traced_run(std::make_shared<dmpc::SerialExecutor>());
+  const TracedRun pooled =
+      traced_run(std::make_shared<dmpc::ThreadPoolExecutor>(4));
+  ASSERT_EQ(serial.events.size(), pooled.events.size());
+  for (std::size_t i = 0; i < serial.events.size(); ++i) {
+    ASSERT_TRUE(same_shape(serial.events[i], pooled.events[i]))
+        << "event " << i << " diverged under the pool";
+  }
+  EXPECT_EQ(serial.dropped, pooled.dropped);
+  for (std::size_t p = 0; p < dmpc::kTracePhaseCount; ++p) {
+    EXPECT_EQ(serial.totals[p].spans, pooled.totals[p].spans);
+    EXPECT_EQ(serial.totals[p].aborted_spans, pooled.totals[p].aborted_spans);
+    EXPECT_EQ(serial.totals[p].rounds, pooled.totals[p].rounds);
+    EXPECT_EQ(serial.totals[p].charged_rounds,
+              pooled.totals[p].charged_rounds);
+    EXPECT_EQ(serial.totals[p].comm_words, pooled.totals[p].comm_words);
   }
 }
 
 TEST(TracerExecutors, BatchDynamicRunCoversTheProtocolPhases) {
-  const TracedRun run =
-      traced_run(std::make_shared<dmpc::SerialExecutor>(), BatchPolicy::kBatchDynamic);
+  const TracedRun run = traced_run(std::make_shared<dmpc::SerialExecutor>());
   const auto spans_of = [&](TracePhase p) {
     return run.totals[static_cast<std::size_t>(p)].spans;
   };
@@ -527,8 +517,7 @@ bool json_syntax_ok(const std::string& s) {
 }
 
 TEST(TracerJson, ExportIsValidAndSpansNest) {
-  const TracedRun run = traced_run(std::make_shared<dmpc::SerialExecutor>(),
-                                   BatchPolicy::kBatchDynamic);
+  const TracedRun run = traced_run(std::make_shared<dmpc::SerialExecutor>());
   EXPECT_TRUE(json_syntax_ok(run.json));
   EXPECT_NE(run.json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(run.json.find("\"dmpc\""), std::string::npos);
