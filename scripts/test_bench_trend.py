@@ -298,6 +298,18 @@ class BenchTrendTest(unittest.TestCase):
                    bench="serving")
         self.assertEqual(self.gate(), 1)
 
+    def test_journal_overhead_gated_when_baseline_dir_is_missing(self):
+        # CI runs the gate even when no baseline cache entry was
+        # restored, so the --baseline directory may not exist at all;
+        # the absolute budgets must still bind (summary included, as CI
+        # invokes it).
+        os.rmdir(self.baseline)
+        self.write(self.current,
+                   [make_row("serving/zipfian-mixed", journal_pct=9.0)],
+                   bench="serving")
+        summary = os.path.join(self.tmp.name, "summary.md")
+        self.assertEqual(self.gate("--summary", summary), 1)
+
     def test_journal_overhead_skipped_below_seconds_floor(self):
         # A percentage of a 0.05s reference run is weather, not a tax —
         # skipped with a notice instead of gated.

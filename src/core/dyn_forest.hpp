@@ -39,9 +39,10 @@
 // round traffic stays O(sqrt N).  A stage runs all its tree deletions as
 // one k-way tour split per component, one parallel replacement cascade,
 // and all merges plus replacement links as one k-way join per final
-// tree; MST cycle-rule inserts share one path-max round (committing
-// swaps escalate into the grouped deletion pipeline).  The final state
-// equals serial application.  See apply_batch below.
+// tree; MST cycle-rule inserts share one path-max round, and a
+// committing swap is one more cut of the k-way split whose displaced
+// edge is demoted rather than erased.  The final state equals serial
+// application.  See apply_batch below.
 //
 // Per-machine round work (shard scans, local transform application) is
 // submitted through Cluster::for_each_machine and so runs in parallel
@@ -154,11 +155,12 @@ class DynamicForest {
   /// tour split per component, runs ONE parallel replacement cascade
   /// over the resulting fragments, and commits all merges plus
   /// replacement links as one k-way join per final tree.  MST
-  /// cycle-rule inserts run as a separate stage through the shared
-  /// path-max group protocol (one shared search round; committing
-  /// swaps join its grouped split + replacement pipeline, and
-  /// same-component members planned behind a committed swap defer to a
-  /// later stage).  There is no serial fallback.  The final state is
+  /// cycle-rule inserts share the stage: one path-max proposal round,
+  /// then each committing swap's displaced edge is one more cut of the
+  /// k-way split (demoted to a non-tree record, not erased) that the
+  /// replacement cascade re-links; same-component inserts planned
+  /// behind a committing swap defer to a later stage.  There is no
+  /// serial fallback.  The final state is
   /// identical to applying the batch one update at a time with
   /// insert(x, y, w) / erase(x, y): Update::w is stored verbatim, so
   /// unweighted callers should carry the serial default of 1
@@ -168,7 +170,7 @@ class DynamicForest {
   void apply_batch(std::span<const graph::Update> batch);
 
   /// Cumulative scheduling statistics over all apply_batch calls
-  /// (stages, groups formed, out-of-order executions).
+  /// (stages, out-of-order executions, deferrals).
   [[nodiscard]] const dmpc::BatchScheduleStats& batch_stats() const {
     return batch_stats_;
   }
@@ -768,16 +770,16 @@ class DynamicForest {
     kNontreeInsert = 2,  // same-component insert (unweighted)
     kNontreeDelete = 3,  // delete of a non-tree record
     kTreeDelete = 4,     // batched split + shared replacement search
-    kPathMax = 5,        // MST cycle-rule insert: shared path-max search
-                         // (read claim), swap commits escalate to writes
+    kPathMax = 5,        // MST cycle-rule insert: shared path-max search,
+                         // a committing swap is one more k-way cut
   };
 
-  // One update of an independent group, pinned to its coordinator (= its
-  // edge machine), with the conflict-graph claims it makes at plan time:
-  // components it rewrites (merge/split transforms shift their tour
-  // indexes) vs. components it only reads (non-tree record ops leave the
-  // tour untouched, so they may share a component with each other but
-  // not with a writer).
+  // One update of a stage, pinned to its coordinator (= its edge
+  // machine), with the conflict-graph claims it makes at plan time:
+  // components it may rewrite (merge/split transforms and cycle-rule
+  // swaps shift their tour indexes) vs. components it only reads
+  // (non-tree record ops leave the tour untouched, so they may share a
+  // component with each other but not with a writer).
   struct BatchOp {
     BatchOpKind kind = BatchOpKind::kNoop;
     std::size_t pos = 0;  // index in the batch (reorder accounting)
@@ -785,33 +787,12 @@ class DynamicForest {
     Weight w = 1;
     MachineId coord = dmpc::kNoMachine;
     Word cx = -1, cy = -1;
-    Word new_comp = -1;  // tree deletes: id for the split-off side
+    Word new_comp = -1;  // tree deletes, swaps: id for the split-off side
     std::uint64_t ekey = 0;
     Word writes[2] = {0, 0};
     std::size_t num_writes = 0;
     Word reads[1] = {0};
     std::size_t num_reads = 0;
-  };
-
-  // One path-max group: the ops to run next plus which pending positions
-  // they consume and how many of them overtook an earlier still-pending
-  // update.
-  struct WavePlan {
-    std::vector<BatchOp> group;
-    std::vector<std::size_t> taken;  // indexes into `pending`
-    std::uint64_t reordered = 0;
-  };
-
-  // The read-only prefix of a group run (rounds 1-3: scatter, endpoint
-  // broadcast, shard-scan replies) plus the directory sizes and path-max
-  // maxima of rounds 4-5.
-  struct GroupPrep {
-    std::vector<std::size_t> active;  // group indexes with real work
-    std::vector<Prep> preps;          // parallel to `active`
-    bool any_merge = false;
-    bool any_delete = false;
-    bool any_pathmax = false;
-    std::vector<std::optional<EdgeRec>> heaviest;  // parallel to `active`
   };
 
   [[nodiscard]] std::uint64_t edge_key(VertexId u, VertexId v) const;
@@ -862,9 +843,9 @@ class DynamicForest {
   void run_split(const SplitBcast& sb);
 
   /// Applies the merge/split index transforms to one machine's state.
-  /// (The MST cycle-rule swap composes these two: the displaced edge is
-  /// demoted to a crossing non-tree record and the replacement search
-  /// re-links the parts — see delete_tree_edge.)
+  /// (The serial MST cycle-rule swap composes these two: the displaced
+  /// edge is demoted to a crossing non-tree record and the replacement
+  /// search re-links the parts — see delete_tree_edge.)
   static void apply_merge_local(MachineState& ms, const MergeBcast& mb);
   void apply_split_local(MachineState& ms, const SplitBcast& sb);
 
@@ -882,10 +863,9 @@ class DynamicForest {
   /// component.  Shared by the serial and the batched deletion protocol.
   [[nodiscard]] static SplitPlan make_split(const Prep& p, VertexId x,
                                             VertexId y, Word new_comp);
-  /// The MST cycle rule's demote: the cut edge stays in the graph as a
-  /// crossing non-tree record (its endpoints straddle its own split, so
-  /// it competes in the replacement search).  Shared by the serial and
-  /// the batched swap protocol.
+  /// The serial MST cycle rule's demote: the cut edge stays in the graph
+  /// as a crossing non-tree record (its endpoints straddle its own
+  /// split, so it competes in the replacement search).
   static void demote_record(EdgeRec& rec, const SplitBcast& sb);
 
   /// The serial update protocols' bodies; insert/erase wrap them in the
@@ -895,35 +875,23 @@ class DynamicForest {
 
   /// Classifies one update against the current state: protocol kind,
   /// coordinator, and component read/write claims.  Mirrors what the
-  /// group rounds recompute in-protocol.
+  /// stage's scatter and directory rounds carry.
   [[nodiscard]] BatchOp classify_op(const graph::Update& up,
                                     std::size_t pos) const;
-  /// Whether a and b fail to commute (shared edge, or one's component
-  /// writes intersect the other's claims).  Coordinator collisions are
-  /// deliberately NOT part of this: they are a same-group resource
-  /// constraint, not an ordering constraint.
-  [[nodiscard]] static bool ops_conflict(const BatchOp& a, const BatchOp& b);
-  /// The ordering variant of ops_conflict: a cycle-rule insert's
-  /// component claim is a read at plan time but may ESCALATE to a write
-  /// when its swap commits, so for the may-this-overtake-that test (a
-  /// candidate running before an earlier still-pending update) either
-  /// side's kPathMax read counts as a write.  Within a group the relaxed
-  /// ops_conflict still applies — there the commit phase enforces the
-  /// order by admitting one swap per component and deferring the
-  /// members planned behind it.
+  /// Whether a and b fail to commute, so neither may run before the
+  /// other: a shared edge, or one's component writes intersect the
+  /// other's claims.  Coordinator collisions are deliberately NOT part
+  /// of this: they are a per-stage resource constraint, not an ordering
+  /// constraint.
   [[nodiscard]] static bool ops_conflict_ordering(const BatchOp& a,
                                                   const BatchOp& b);
 
-  /// Plans a path-max group over the still-pending batch positions:
-  /// every pending update (in batch order) that commutes with all
-  /// earlier still-pending ones and fits the group's resource
-  /// constraints (distinct coordinators, non-overlapping claims).
-  [[nodiscard]] WavePlan plan_wave(std::span<const graph::Update> batch,
-                                   std::span<const std::size_t> pending) const;
   /// The heaviest local tree edge of `comp` on the tree path between the
   /// subtree intervals of x ([fx,lx]) and y ([fy,ly]) — the per-machine
   /// share of the path-max search (ancestor-XOR criterion).  Shared by
-  /// the serial cycle-rule protocol and the group's path-max round.
+  /// the serial cycle-rule protocol and the stage's path-max round,
+  /// which passes one appearance per endpoint (fx = lx, fy = ly): any
+  /// single index decides subtree membership.
   /// Returns a copy: SoA slots are not stable across shard mutation.
   [[nodiscard]] std::optional<EdgeRec> path_max_local(MachineId m, Word comp,
                                                       Word fx, Word lx,
@@ -937,61 +905,39 @@ class DynamicForest {
   /// One comm-cap-safe chunk of answer_queries; writes answers in place.
   void answer_query_chunk(std::span<const ReadQuery> queries,
                           std::span<ReadAnswer> answers);
-  /// Rounds 1-3 of a group run: scatter to coordinators (assigns
-  /// split-off component ids, so the group is mutated), endpoint
-  /// broadcasts, and the shard-scan replies folded into per-update
-  /// Preps.
-  GroupPrep run_group_prepare(std::vector<BatchOp>& group);
-  /// Rounds 4-5 of a group run: directory size queries/replies plus the
-  /// shared path-max search, writing the sizes into gp.preps and the
-  /// per-insert maxima into gp.heaviest.  Read-only against machine
-  /// state.
-  void run_group_dir(std::vector<BatchOp>& group, GroupPrep& gp);
-  /// The rest of the group protocol: directory + shared path-max rounds,
-  /// commit-plan confirmation, merge broadcasts, records, and the
-  /// grouped split / shared-replacement-search pipeline (tree deletions
-  /// and committing cycle-rule swaps together).  Returns the batch
-  /// positions bounced back to pending: members planned behind a
-  /// committing cycle-rule swap in their component.
-  std::vector<std::size_t> run_group_commit(std::vector<BatchOp>& group,
-                                            GroupPrep& gp);
-
   // --- batch-dynamic stages (apply_batch) ----------------------------------
 
-  enum class StageKind {
-    kStageGroup,   // cycle-rule inserts: delegate to the path-max group
-    kStageKWay,    // k-way split / cascade / k-way join stage
-  };
-
-  // One stage of the batch-dynamic protocol.  A kStageKWay stage admits
-  // every remaining update it can order safely — MANY tree deletions per
-  // component, chained merges — unlike a path-max group, which admits at
-  // most one writer per component.
+  // One stage of the batch-dynamic protocol: every remaining update it
+  // can order safely — MANY tree deletions per component, chained
+  // merges, several cycle-rule inserts per component.
   struct StagePlan {
-    StageKind kind = StageKind::kStageKWay;
     std::vector<BatchOp> ops;
     std::vector<std::size_t> taken;  // indexes into `pending`
     std::uint64_t reordered = 0;
   };
 
   /// Plans the next stage over the still-pending batch positions: the
-  /// first pending op picks the stage kind, then (for kStageKWay) every
-  /// later pending op joins if it can run out of order (no ordering
-  /// conflict with a rejected earlier op), its edge is unclaimed, and
-  /// its components carry at most one writer KIND (all-deletes,
-  /// all-merges via a stage-local DSU, or all-nontree ops per
-  /// component).  kStageGroup stages reuse plan_wave's admission.
-  [[nodiscard]] StagePlan plan_stage(std::span<const graph::Update> batch,
-                                     std::span<const std::size_t> pending,
-                                     std::vector<BatchOp>& rejected) const;
+  /// first pending op always joins, then every later pending op joins if
+  /// it can run out of order (no ordering conflict with a rejected
+  /// earlier op), its edge is unclaimed, its coordinator has budget
+  /// left, and its components carry at most one writer KIND
+  /// (all-deletes, all-merges via a stage-local DSU, all-cycle-rule
+  /// inserts, or all-nontree ops per component).
+  [[nodiscard]] StagePlan plan_stage(
+      std::span<const graph::Update> batch,
+      std::span<const std::size_t> pending) const;
 
-  /// Executes one kStageKWay stage: scatter, cut/endpoint broadcasts,
-  /// surviving-appearance scans, the parallel replacement cascade
-  /// (per-(fragment,fragment) minima folded over two hops, per-component
-  /// fragment Kruskal), and one global k-way split+join transform pass
-  /// applied locally on every machine.  Adaptive: 1 round for pure
-  /// non-tree stages up to 8 with deletions needing reconnection.
-  void run_stage_kway(std::vector<BatchOp>& ops);
+  /// Executes one stage: scatter, cut/endpoint broadcasts, the path-max
+  /// proposal and swap-cut rounds (cycle-rule inserts only), the
+  /// parallel replacement cascade over surviving appearances
+  /// (per-(fragment,fragment) minima folded over two hops,
+  /// per-component fragment Kruskal), and one global k-way split+join
+  /// transform pass applied locally on every machine.  Adaptive: 1
+  /// round for pure non-tree stages up to 8 with swaps and deletions
+  /// needing reconnection.  Returns the batch positions deferred to a
+  /// later stage: cycle-rule inserts planned behind a committing swap
+  /// in their component.
+  std::vector<std::size_t> run_stage_kway(std::vector<BatchOp>& ops);
 
   /// Memory accounting helpers.
   void charge_edge_record(MachineId m);

@@ -85,7 +85,7 @@ struct QueryAggregate {
 };
 
 /// Scheduling statistics of a batch-update planner: how apply_batch
-/// partitioned its batches into shared-round stages and groups, and how
+/// partitioned its batches into shared-round stages, and how
 /// much ran out of order.
 /// Defined here (not in the algorithm) so the harness and benches can
 /// aggregate/print them without depending on the algorithm's type —
@@ -93,17 +93,17 @@ struct QueryAggregate {
 /// `batch_stats()` accessor (see harness::BatchScheduled).
 struct BatchScheduleStats {
   std::uint64_t batches = 0;           ///< apply_batch invocations
-  std::uint64_t groups = 0;            ///< shared-round group instances run
-  std::uint64_t grouped_updates = 0;   ///< updates executed inside a group
+  std::uint64_t grouped_updates = 0;   ///< updates executed inside a stage
   std::uint64_t serial_updates = 0;    ///< serial fallbacks (0: none left)
   std::uint64_t reordered_updates = 0; ///< ran before an earlier batch entry
   std::uint64_t batched_tree_deletes = 0;  ///< tree-edge deletions grouped
-  std::uint64_t max_group = 0;         ///< largest group size seen
-  /// MST cycle-rule inserts whose x..y path-max search ran in a shared
-  /// group round instead of a serial per-update protocol.
+  std::uint64_t max_group = 0;         ///< largest stage size seen
+  /// MST cycle-rule inserts run in a shared stage (their x..y path-max
+  /// search shares one proposal round) instead of a serial per-update
+  /// protocol.
   std::uint64_t path_max_grouped = 0;
-  /// Group members returned to the pending set because a committing
-  /// cycle-rule swap rewrote their component under them.
+  /// Cycle-rule inserts returned to the pending set because an earlier
+  /// same-component insert of their stage committed a swap.
   std::uint64_t deferred_updates = 0;
   /// Batch-dynamic protocol instrumentation.
   /// Constant-round stages executed (each stage covers every admissible
@@ -131,13 +131,13 @@ struct BatchScheduleStats {
   std::uint64_t commit_records = 0;
 
   [[nodiscard]] double mean_group_size() const {
-    return groups == 0 ? 0.0
+    return stages == 0 ? 0.0
                        : static_cast<double>(grouped_updates) /
-                             static_cast<double>(groups);
+                             static_cast<double>(stages);
   }
   [[nodiscard]] double groups_per_batch() const {
     return batches == 0 ? 0.0
-                        : static_cast<double>(groups) /
+                        : static_cast<double>(stages) /
                               static_cast<double>(batches);
   }
 };

@@ -49,7 +49,6 @@ const char* trace_phase_name(TracePhase phase) {
     case TracePhase::kKWayJoin: return "kway-join";
     case TracePhase::kDirectory: return "directory";
     case TracePhase::kPathMax: return "path-max";
-    case TracePhase::kWaveCommit: return "wave-commit";
     case TracePhase::kQueryBatch: return "query-batch";
     case TracePhase::kBatch: return "batch";
     case TracePhase::kRecovery: return "recovery";

@@ -46,7 +46,7 @@
 namespace dmpc {
 
 /// Protocol-phase taxonomy.  The first block is DynamicForest's protocol
-/// phases (the k-way stages and the path-max group protocol), the second
+/// phases (the rounds of a batch-dynamic stage), the second
 /// is the driver/serving layer; kNone attributes rounds recorded outside
 /// any annotation.
 enum class TracePhase : std::uint8_t {
@@ -55,9 +55,8 @@ enum class TracePhase : std::uint8_t {
   kKWaySplit,        ///< k-way Euler-tour split construction
   kCascade,          ///< replacement-edge cascade rounds
   kKWayJoin,         ///< fragment universe + k-way join + commit round
-  kDirectory,        ///< directory queries/replies (group rounds 4-5)
-  kPathMax,          ///< path-max probes sharing the directory rounds
-  kWaveCommit,       ///< path-max group commit rounds (rounds 6+)
+  kDirectory,        ///< directory / cached-index replies, cut broadcasts
+  kPathMax,          ///< path-max proposals and swap-cut broadcasts
   kQueryBatch,       ///< read-only connectivity query batch
   kBatch,            ///< one driver-applied update batch
   kRecovery,         ///< driver fault-recovery (retry/bisect)

@@ -104,7 +104,7 @@ concept LookaheadBatchApplicable =
     };
 
 /// Batch-applicable algorithms whose scheduler also reports how batches
-/// were partitioned (stages, groups, out-of-order runs); the
+/// were partitioned (stages, deferrals, out-of-order runs); the
 /// driver snapshots the stats into AlgorithmStats::sched after every
 /// batch.
 template <typename A>
@@ -196,7 +196,7 @@ struct AlgorithmStats {
   /// directly comparable.
   dmpc::UpdateAggregate batch_agg;
   /// Scheduler statistics (BatchScheduled algorithms applied via
-  /// apply_batch only): stages, groups per batch, reorders.
+  /// apply_batch only): stages per batch, reorders, deferrals.
   bool scheduled = false;
   dmpc::BatchScheduleStats sched;
   /// Failure-recovery counters (DriverConfig::recover_failures).

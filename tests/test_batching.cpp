@@ -12,6 +12,7 @@
 
 #include "core/dyn_forest.hpp"
 #include "core/maximal_matching.hpp"
+#include "dmpc/executor.hpp"
 #include "graph/update_stream.hpp"
 #include "harness/checks.hpp"
 #include "harness/driver.hpp"
@@ -241,7 +242,7 @@ TEST(BatchScheduler, BatchesIndependentTreeDeletions) {
   EXPECT_TRUE(forest.connected(0, 2));
   EXPECT_TRUE(forest.connected(4, 6));
   const auto& stats = forest.batch_stats();
-  EXPECT_EQ(stats.groups, 1u);
+  EXPECT_EQ(stats.stages, 1u);
   EXPECT_EQ(stats.batched_tree_deletes, 2u);
   EXPECT_EQ(stats.serial_updates, 0u);
   std::string why;
@@ -537,6 +538,99 @@ TEST(BatchScheduler, SwapCannotOvertakeEarlierPendingSameComponentInsert) {
   EXPECT_EQ(serial.forest_weight(), batched.forest_weight());
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << why;
+}
+
+// Sixteen cycle-rule re-inserts, each in its own component and each
+// displacing a heavy tree edge, share ONE stage: scatter, directory +
+// path-max queries, proposals, swap cuts, the three cascade rounds that
+// re-link every component through its inserted edge, and the commit.
+// At n = 256 the cluster has 36 machines, enough that no machine's
+// share of the commit broadcasts (a link and a cut fix per swap) passes
+// the S-word cap; a machine that did would split that round in two.
+TEST(BatchScheduler, SixteenSwapsShareOneEightRoundStage) {
+  const std::size_t n = 256, k = 16;
+  graph::WeightedEdgeList initial;
+  graph::UpdateStream stream;
+  for (std::size_t c = 0; c < k; ++c) {
+    const auto b = static_cast<dmpc::VertexId>(4 * c);
+    initial.push_back({b, b + 1, 3});
+    initial.push_back({b + 1, b + 2, 150});  // the replacement chord
+    initial.push_back({b + 2, b + 3, 4});
+    stream.push_back({UpdateKind::kInsert, b + 1, b + 3, 5});
+  }
+  const auto make = [&] {
+    auto f = std::make_unique<core::DynamicForest>(
+        core::DynForestConfig{.n = n, .m_cap = 4 * n, .weighted = true});
+    f->preprocess(initial);
+    return f;
+  };
+  auto batched = make();
+  Driver driver(n, DriverConfig{.batch_size = k,
+                                .checkpoint_every = 0,
+                                .weighted = true});
+  driver.add("mst", *batched);
+  driver.run(stream);
+  const auto* stats = driver.report().find("mst");
+  ASSERT_NE(stats, nullptr);
+  ASSERT_EQ(stats->batch_agg.updates, 1u);
+  EXPECT_LE(stats->batch_agg.total_rounds, 8u);
+  EXPECT_EQ(batched->batch_stats().stages, 1u);
+  EXPECT_EQ(batched->batch_stats().path_max_grouped, k);
+  EXPECT_EQ(batched->batch_stats().cascade_links, k);
+
+  auto serial = make();
+  for (const Update& up : stream) serial->insert(up.u, up.v, up.w);
+  EXPECT_EQ(serial->component_snapshot(), batched->component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*batched));
+  EXPECT_EQ(serial->forest_weight(), batched->forest_weight());
+  EXPECT_EQ(batched->forest_weight(), static_cast<graph::Weight>(k * 12));
+  std::string why;
+  EXPECT_TRUE(batched->validate(&why)) << why;
+}
+
+// One batch mixing two same-component swaps (the later one defers to a
+// second stage), tree deletions in two other components, and a merge:
+// the state must equal serial insert/erase replay under both executors.
+TEST(BatchScheduler, MixedSwapsDeletionsAndMergeMatchSerialUnderBothExecutors) {
+  const std::size_t n = 32;
+  const graph::WeightedEdgeList initial = {
+      {0, 1, 9},   {1, 2, 9},   {2, 3, 9},                 // swaps
+      {8, 9, 2},   {9, 10, 3},  {10, 11, 4}, {8, 11, 50},  // deletions
+      {16, 17, 1}, {17, 18, 2}, {16, 18, 7},               // deletion
+      {20, 22, 1}, {21, 23, 1},                            // merge
+  };
+  const std::vector<Update> batch = {
+      {UpdateKind::kInsert, 0, 2, 1},  {UpdateKind::kDelete, 9, 10, 0},
+      {UpdateKind::kInsert, 1, 3, 1},  {UpdateKind::kInsert, 20, 21, 3},
+      {UpdateKind::kDelete, 16, 17, 0}, {UpdateKind::kDelete, 10, 11, 0},
+  };
+  core::DynamicForest serial({.n = n, .m_cap = 4 * n, .weighted = true});
+  serial.preprocess(initial);
+  for (const Update& up : batch) {
+    if (up.kind == UpdateKind::kInsert) {
+      serial.insert(up.u, up.v, up.w);
+    } else {
+      serial.erase(up.u, up.v);
+    }
+  }
+  const std::vector<std::shared_ptr<dmpc::RoundExecutor>> executors = {
+      std::make_shared<dmpc::SerialExecutor>(),
+      std::make_shared<dmpc::ThreadPoolExecutor>(4)};
+  for (const auto& exec : executors) {
+    SCOPED_TRACE(exec->name());
+    core::DynamicForest batched({.n = n, .m_cap = 4 * n, .weighted = true});
+    batched.cluster().set_executor(exec);
+    batched.preprocess(initial);
+    batched.apply_batch(std::span<const Update>(batch));
+    EXPECT_EQ(batched.batch_stats().deferred_updates, 1u);
+    EXPECT_EQ(batched.batch_stats().path_max_grouped, 2u);
+    EXPECT_EQ(batched.batch_stats().serial_updates, 0u);
+    EXPECT_EQ(serial.component_snapshot(), batched.component_snapshot());
+    EXPECT_EQ(sorted_tree_edges(serial), sorted_tree_edges(batched));
+    EXPECT_EQ(serial.forest_weight(), batched.forest_weight());
+    std::string why;
+    EXPECT_TRUE(batched.validate(&why)) << why;
+  }
 }
 
 TEST(ApplyBatch, HandlesNoopsAndNontreeOps) {
