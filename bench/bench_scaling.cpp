@@ -88,8 +88,9 @@ void print_series(const char* name, std::size_t n,
 /// included), so rounds/update stays far below the per-update
 /// protocol's constant as N grows while the state stays byte-identical
 /// to the serial run.  `wall_seconds` times only the updates: the
-/// forest is validated after the timer stops, and a failed validation
-/// exits the bench non-zero.  Returns the wall per update; prints and
+/// forest is validated after the timer stops (timed on its own as
+/// `validate_seconds`), and a failed validation exits the bench
+/// non-zero.  Returns the wall per update; prints and
 /// emits the row only with `report`.
 double run_batched_connectivity(
     std::size_t n, bool report,
@@ -111,7 +112,10 @@ double run_batched_connectivity(
   const double wall = bench::timed_seconds([&] { driver.run(stream); });
   if (tracer != nullptr) tracer->set_enabled(false);
   std::string why;
-  if (!forest.validate(&why)) {
+  bool valid = false;
+  const double validate_wall =
+      bench::timed_seconds([&] { valid = forest.validate(&why); });
+  if (!valid) {
     std::fprintf(stderr, "bench_scaling: batched connectivity n=%zu failed "
                  "validate(): %s\n", n, why.c_str());
     std::exit(1);
@@ -136,6 +140,7 @@ double run_batched_connectivity(
           "connectivity batch=16 n=" + std::to_string(n),
           harness::budgets::kBatchedConnectivityRoundsPerUpdate, wall) &&
       g_within_budget;
+  g_json.num("validate_seconds", validate_wall);
   return per_update;
 }
 

@@ -12,6 +12,10 @@ and fails when any workload regressed:
     weather, not a regression — unless the row grew PAST the floor;
     rows whose "cores" field differs between baseline and current are
     skipped entirely: a runner-hardware change is not a regression);
+  * validate() time (validate_seconds, bench_scaling's untimed
+    structural check after each batched-connectivity row) grew by more
+    than --max-regress, with the same floor and cores-changed skip as
+    wall-clock;
   * rounds_per_update grew by more than --max-rounds-regress (rounds
     are deterministic, so this bound is tight);
   * deferred_updates grew by more than --max-deferred-growth (plus a
@@ -86,11 +90,11 @@ def main(argv=None):
     ap.add_argument("--current", required=True,
                     help="directory with this run's BENCH_*.json")
     ap.add_argument("--max-regress", type=float, default=0.25,
-                    help="fail when wall-clock grows by more than this "
-                         "fraction (default 0.25)")
+                    help="fail when wall-clock or validate() time grows "
+                         "by more than this fraction (default 0.25)")
     ap.add_argument("--min-seconds", type=float, default=0.25,
-                    help="ignore wall-clock rows below this floor "
-                         "(default 0.25)")
+                    help="ignore wall-clock and validate() times below "
+                         "this floor (default 0.25)")
     ap.add_argument("--max-rounds-regress", type=float, default=0.05,
                     help="fail when rounds_per_update grows by more than "
                          "this fraction (default 0.05)")
@@ -222,8 +226,8 @@ def main(argv=None):
             # A metric the baseline has but the current run lost (a
             # renamed key, dropped sched counters) silently disables its
             # gate — make that loss visible, like the missing-row notice.
-            for metric in ("wall_seconds", "rounds_per_update",
-                           "deferred_updates",
+            for metric in ("wall_seconds", "validate_seconds",
+                           "rounds_per_update", "deferred_updates",
                            "cascade_rounds", "query_rounds_per_batch",
                            "p99_us", "journal_overhead_pct",
                            "trace_overhead_pct"):
@@ -233,30 +237,36 @@ def main(argv=None):
                           f"{metric!r} but the current run lost it — "
                           "that gate is not applied")
 
-            # Wall-clock (noise floor: skip only when BOTH sides are
-            # tiny, so a row that grew from sub-floor to large is still
-            # gated).  Rows that carry a core count are only compared
-            # when it matches: wall-clock measured on different hardware
-            # says nothing about the code.
-            bw, cw = brow.get("wall_seconds"), crow.get("wall_seconds")
+            # Wall-clock and validate() time (noise floor: skip only
+            # when BOTH sides are tiny, so a row that grew from sub-floor
+            # to large is still gated).  Rows that carry a core count are
+            # only compared when it matches: a time measured on different
+            # hardware says nothing about the code.
             bcores, ccores = brow.get("cores"), crow.get("cores")
-            wall_note = "-"
-            if (bcores is not None and ccores is not None and
-                    bcores != ccores):
-                wall_note = (f"skipped (cores {bcores} -> {ccores})")
+            cores_changed = (bcores is not None and ccores is not None and
+                             bcores != ccores)
+            if cores_changed:
                 print(f"bench_trend: {name}: {label}: core count changed "
-                      f"({bcores} -> {ccores}) — wall-clock not compared")
-            elif bw is not None and cw is not None:
-                if bw >= args.min_seconds or cw >= args.min_seconds:
-                    ratio = cw / bw if bw > 0 else float("inf")
-                    wall_note = f"{bw:.2f}s -> {cw:.2f}s"
-                    if ratio > 1.0 + args.max_regress:
-                        row_bad.append("wall-clock")
-                        regressions.append(
-                            (name, label, "wall-clock",
-                             f"{bw:.3f}s -> {cw:.3f}s"))
-                else:
-                    wall_note = f"{bw:.2f}s -> {cw:.2f}s (sub-floor)"
+                      f"({bcores} -> {ccores}) — wall-clock and validate "
+                      "not compared")
+
+            def seconds_note(metric, what):
+                bs, cs = brow.get(metric), crow.get(metric)
+                if bs is None or cs is None:
+                    return "-"
+                if cores_changed:
+                    return f"skipped (cores {bcores} -> {ccores})"
+                if bs < args.min_seconds and cs < args.min_seconds:
+                    return f"{bs:.2f}s -> {cs:.2f}s (sub-floor)"
+                ratio = cs / bs if bs > 0 else float("inf")
+                if ratio > 1.0 + args.max_regress:
+                    row_bad.append(what)
+                    regressions.append(
+                        (name, label, what, f"{bs:.3f}s -> {cs:.3f}s"))
+                return f"{bs:.2f}s -> {cs:.2f}s"
+
+            wall_note = seconds_note("wall_seconds", "wall-clock")
+            validate_note = seconds_note("validate_seconds", "validate")
 
             # Rounds per update: deterministic, so gated tightly.
             br, cr = (brow.get("rounds_per_update"),
@@ -342,12 +352,14 @@ def main(argv=None):
             verdict = "REGRESSION: " + ", ".join(row_bad) if row_bad \
                 else "ok"
             marker = "  <-- REGRESSION" if row_bad else ""
-            print(f"{name}: {label}: wall {wall_note}, r/u {rounds_note}, "
+            print(f"{name}: {label}: wall {wall_note}, "
+                  f"validate {validate_note}, r/u {rounds_note}, "
                   f"deferred {deferred_note}, "
                   f"cascade {cascade_note}, q-rounds {qrounds_note}, "
                   f"p99 {p99_note}{marker}")
             table.append((name.removeprefix("BENCH_").removesuffix(".json"),
-                          label, wall_note, rounds_note, deferred_note, cascade_note, qrounds_note,
+                          label, wall_note, validate_note, rounds_note,
+                          deferred_note, cascade_note, qrounds_note,
                           p99_note, verdict))
 
     if args.summary:
@@ -360,10 +372,10 @@ def main(argv=None):
                 f.write("_No baseline rows to compare (first run or "
                         "expired cache)._\n\n")
             else:
-                f.write("| bench | workload | wall | rounds/upd | "
-                        "deferred | cascade/batch | q-rounds/batch | "
-                        "p99 | verdict |\n")
-                f.write("|---|---|---|---|---|---|---|---|---|\n")
+                f.write("| bench | workload | wall | validate | "
+                        "rounds/upd | deferred | cascade/batch | "
+                        "q-rounds/batch | p99 | verdict |\n")
+                f.write("|---|---|---|---|---|---|---|---|---|---|\n")
                 for row in table:
                     cells = " | ".join(str(c) for c in row)
                     f.write(f"| {cells} |\n")
@@ -376,7 +388,7 @@ def main(argv=None):
             print(f"  {name} {label}: {metric} {detail}", file=sys.stderr)
         return 1
     print(f"bench_trend: {compared} row(s) within bounds "
-          f"(wall {args.max_regress:.0%}, rounds "
+          f"(wall and validate {args.max_regress:.0%}, rounds "
           f"{args.max_rounds_regress:.0%}, deferred growth "
           f"{args.max_deferred_growth:.0%}, cascade growth "
           f"{args.max_cascade_regress:.0%}, query rounds "

@@ -24,8 +24,10 @@ _SPEC.loader.exec_module(bench_trend)
 def make_row(name, wall=1.0, rounds=None, deferred=None, n=None,
              cascade=None, batches=None, cores=None, qrounds=None,
              p99=None, journal_pct=None, journal_off=None, trace_pct=None,
-             trace_off=None):
+             trace_off=None, validate=None):
     row = {"name": name, "wall_seconds": wall}
+    if validate is not None:
+        row["validate_seconds"] = validate
     if n is not None:
         row["n"] = n
     if rounds is not None:
@@ -97,6 +99,21 @@ class BenchTrendTest(unittest.TestCase):
         self.write(self.baseline, [make_row("w", wall=0.01)])
         self.write(self.current, [make_row("w", wall=1.0)])
         self.assertEqual(self.gate(), 1)
+
+    def test_validate_seconds_trended_like_wall_clock(self):
+        # Same bound and floor as wall-clock: growth past --max-regress
+        # fails, sub-floor noise does not, a core-count change skips it.
+        cases = [((1.0, 1.6, None), 1), ((1.0, 1.2, None), 0),
+                 ((0.01, 0.02, None), 0), ((0.01, 1.0, None), 1),
+                 ((1.0, 2.0, (4, 16)), 0)]
+        for (before, after, cores), want in cases:
+            with self.subTest(before=before, after=after, cores=cores):
+                bc, cc = cores if cores else (None, None)
+                self.write(self.baseline,
+                           [make_row("w", validate=before, cores=bc)])
+                self.write(self.current,
+                           [make_row("w", validate=after, cores=cc)])
+                self.assertEqual(self.gate(), want)
 
     def test_rounds_per_update_regression_fails(self):
         # The ISSUE acceptance case: a synthetic rounds/update regression

@@ -1,9 +1,12 @@
 #include "core/dyn_forest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -2371,15 +2374,14 @@ std::vector<VertexId> DynamicForest::component_snapshot() const {
       raw[static_cast<std::size_t>(vs.vertex_at(lid))] = vs.rec(lid).comp;
     }
   });
-  // Canonicalize to the smallest member vertex id.
-  std::map<Word, VertexId> smallest;
-  for (std::size_t v = 0; v < raw.size(); ++v) {
-    auto [it, inserted] =
-        smallest.emplace(raw[v], static_cast<VertexId>(v));
-    if (!inserted) it->second = std::min(it->second, static_cast<VertexId>(v));
-  }
+  // Canonicalize to the smallest member vertex id: the first vertex seen
+  // of each component, in ascending order.
+  std::unordered_map<Word, VertexId> smallest;
   std::vector<VertexId> out(config_.n);
-  for (std::size_t v = 0; v < raw.size(); ++v) out[v] = smallest[raw[v]];
+  for (std::size_t v = 0; v < raw.size(); ++v) {
+    out[v] = smallest.try_emplace(raw[v], static_cast<VertexId>(v))
+                 .first->second;
+  }
   return out;
 }
 
@@ -2422,155 +2424,242 @@ bool DynamicForest::validate(std::string* why) const {
     return false;
   };
   // Phase 1 (pooled, per machine): each machine audits its component
-  // index against its own records and flattens its shard into plain
-  // vectors.  The serial machine-order merge below rebuilds the same
-  // global maps whichever executor ran the collection, so the verdict —
-  // and the failure message — is byte-identical under SerialExecutor and
+  // index against its own records, reads its tree records off its
+  // columns, and writes its vertex records into the dense per-vertex
+  // arrays (machines host disjoint vertices).  Everything after this is
+  // a serial machine-order merge or a pooled pure read whose first
+  // failure in a fixed order wins, so the verdict — and the failure
+  // message — is byte-identical under SerialExecutor and
   // ThreadPoolExecutor.
+  struct TreeRec {
+    Word comp;
+    EdgeKey key;
+    std::array<Word, 4> idx;  // u1, u2, v1, v2
+  };
   struct MachinePart {
     bool index_ok = false;
     bool crossing = false;
-    std::vector<std::pair<Word, std::pair<EdgeKey, etour::EdgeIndexes>>> tree;
-    std::vector<EdgeRec> nontree;
+    std::vector<TreeRec> tree;
   };
   std::vector<MachinePart> parts(machines_.size());
+  std::vector<VertexRec> vrec(config_.n);
+  std::vector<std::pair<Word, VertexId>> members(config_.n);  // (comp, v)
   exec().run(machines_.size(), [&](std::size_t m) {
     MachinePart& pt = parts[m];
     const EdgeShard& es = machines_[m].edges;
-    pt.index_ok =
-        es.index_matches() && machines_[m].vertices.index_matches();
-    for (std::size_t i = 0; i < es.size(); ++i) {
-      const EdgeRec rec = es.get(i);
-      if (rec.crossing) {
+    const VertexShard& vs = machines_[m].vertices;
+    pt.index_ok = es.index_matches() && vs.index_matches();
+    for (std::size_t s = 0; s < es.size(); ++s) {
+      if (es.crossing[s] != 0) {
         pt.crossing = true;
-      } else if (rec.tree) {
-        pt.tree.emplace_back(
-            rec.comp,
-            std::pair{EdgeKey(rec.u, rec.v),
-                      etour::EdgeIndexes{rec.iu1, rec.iu2, rec.iv1, rec.iv2}});
-      } else {
-        pt.nontree.push_back(rec);
+      } else if (es.tree[s] != 0) {
+        pt.tree.push_back({es.comp_at(s), EdgeKey(es.u[s], es.v[s]),
+                           {es.iu1[s], es.iu2[s], es.iv1[s], es.iv2[s]}});
       }
     }
+    for (std::size_t lid = 0; lid < vs.size(); ++lid) {
+      const VertexId v = vs.vertex_at(lid);
+      vrec[static_cast<std::size_t>(v)] = vs.rec(lid);
+      members[static_cast<std::size_t>(v)] = {vs.rec(lid).comp, v};
+    }
   });
-  std::map<Word, std::map<EdgeKey, etour::EdgeIndexes>> comp_edges;
-  std::map<Word, std::set<VertexId>> comp_members;
-  std::map<VertexId, VertexRec> vrecs;
-  std::map<Word, Word> dir;
-  std::vector<EdgeRec> nontree;
+  std::vector<TreeRec> tree;
+  std::vector<std::pair<Word, Word>> dir;  // (comp, size)
+  std::size_t tree_count = 0, dir_count = 0;
+  for (std::size_t m = 0; m < machines_.size(); ++m) {
+    tree_count += parts[m].tree.size();
+    dir_count += machines_[m].comp_sizes.size();
+  }
+  tree.reserve(tree_count);
+  dir.reserve(dir_count);
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     if (!parts[m].index_ok) {
       return fail("component index out of sync on machine " +
                   std::to_string(m));
     }
     if (parts[m].crossing) return fail("unresolved crossing record");
-    for (const auto& [comp, edge] : parts[m].tree) {
-      comp_edges[comp][edge.first] = edge.second;
-    }
-    nontree.insert(nontree.end(), parts[m].nontree.begin(),
-                   parts[m].nontree.end());
-    const VertexShard& vs = machines_[m].vertices;
-    for (std::size_t lid = 0; lid < vs.size(); ++lid) {
-      vrecs[vs.vertex_at(lid)] = vs.rec(lid);
-      comp_members[vs.rec(lid).comp].insert(vs.vertex_at(lid));
-    }
-    for (const auto& [c, s] : machines_[m].comp_sizes) dir[c] = s;
+    tree.insert(tree.end(), parts[m].tree.begin(), parts[m].tree.end());
+    dir.insert(dir.end(), machines_[m].comp_sizes.begin(),
+               machines_[m].comp_sizes.end());
   }
-
-  // Phase 2 (pooled, per component): the full-tour walks are independent
-  // pure reads of the merged maps.  Failures surface in component order —
-  // the order the serial walk would have hit them.
-  std::vector<const std::pair<const Word, std::set<VertexId>>*> comps;
-  comps.reserve(comp_members.size());
-  for (const auto& entry : comp_members) comps.push_back(&entry);
-  std::vector<std::optional<std::string>> comp_err(comps.size());
-  std::vector<std::map<VertexId, std::set<Word>>> comp_apps(comps.size());
-  exec().run(comps.size(), [&](std::size_t c) {
-    const Word comp = comps[c]->first;
-    const std::set<VertexId>& members = comps[c]->second;
-    auto err = [&](std::string msg) { comp_err[c] = std::move(msg); };
-    const auto dit = dir.find(comp);
-    if (dit == dir.end()) return err("missing directory entry");
-    if (dit->second != static_cast<Word>(members.size())) {
-      return err("directory size mismatch for component " +
-                 std::to_string(comp));
+  // Group everything by component: members by (comp, v); tree records by
+  // (comp, key) and directory entries by comp, where a key stored twice
+  // keeps its last copy in machine-then-slot order (stable sort, then
+  // the last of each run).
+  const auto keep_last = [](auto& recs, auto same) {
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      if (i + 1 == recs.size() || !same(recs[i], recs[i + 1])) {
+        recs[out++] = recs[i];
+      }
     }
-    const Word elen = etour::elength(static_cast<Word>(members.size()));
-    std::map<Word, VertexId> tour;
-    const auto eit = comp_edges.find(comp);
-    if (members.size() == 1) {
-      if (eit != comp_edges.end()) return err("singleton with tree edges");
-      const VertexRec& vr = vrecs.at(*members.begin());
-      if (vr.cached_idx != etour::kNoIndex) {
+    recs.erase(recs.begin() + static_cast<std::ptrdiff_t>(out), recs.end());
+  };
+  std::sort(members.begin(), members.end());
+  std::stable_sort(tree.begin(), tree.end(),
+                   [](const TreeRec& a, const TreeRec& b) {
+                     return std::tie(a.comp, a.key) < std::tie(b.comp, b.key);
+                   });
+  keep_last(tree, [](const TreeRec& a, const TreeRec& b) {
+    return a.comp == b.comp && a.key == b.key;
+  });
+  std::stable_sort(dir.begin(), dir.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  keep_last(dir,
+            [](const auto& a, const auto& b) { return a.first == b.first; });
+
+  // One entry per component named by a vertex or a tree record, in
+  // component-id order; each non-singleton's tour is the slice
+  // [tour_off, tour_off + elen) of one flat array (position i at
+  // tour_off + i - 1).
+  struct Comp {
+    Word comp;
+    std::size_t mem_b, mem_e;    // its slice of `members`
+    std::size_t tree_b, tree_e;  // its slice of `tree`
+    std::optional<Word> dir_size;
+    std::size_t tour_off;
+    Word elen;
+  };
+  std::vector<Comp> comps;
+  std::size_t tour_len = 0;
+  for (std::size_t i = 0, j = 0, k = 0;
+       i < members.size() || j < tree.size();) {
+    Comp c{};
+    c.comp = i < members.size() ? members[i].first : tree[j].comp;
+    if (j < tree.size()) c.comp = std::min(c.comp, tree[j].comp);
+    for (c.mem_b = i; i < members.size() && members[i].first == c.comp;) ++i;
+    for (c.tree_b = j; j < tree.size() && tree[j].comp == c.comp;) ++j;
+    c.mem_e = i;
+    c.tree_e = j;
+    while (k < dir.size() && dir[k].first < c.comp) ++k;
+    if (k < dir.size() && dir[k].first == c.comp) c.dir_size = dir[k].second;
+    c.elen = etour::elength(static_cast<Word>(c.mem_e - c.mem_b));
+    c.tour_off = tour_len;
+    tour_len += static_cast<std::size_t>(c.elen);
+    comps.push_back(c);
+  }
+  std::vector<VertexId> tours(tour_len, dmpc::kNoVertex);
+  std::vector<std::uint32_t> step_recs(tour_len / 2);
+  const auto tour_of = [&](const Comp& c) {
+    return std::span<VertexId>(tours).subspan(
+        c.tour_off, static_cast<std::size_t>(c.elen));
+  };
+  // Whether tour position `idx` of component `c` is an appearance of v.
+  const auto appears = [&](const Comp& c, VertexId v, Word idx) {
+    return idx >= 1 && idx <= c.elen &&
+           tour_of(c)[static_cast<std::size_t>(idx - 1)] == v;
+  };
+
+  // Phase 2 (pooled, per component): each component fills and walks its
+  // own tour slice.  Failures surface in component-id order, and within
+  // a component in key order, then tour order, then member-id order.
+  std::vector<std::optional<std::string>> comp_err(comps.size());
+  exec().run(comps.size(), [&](std::size_t ci) {
+    const Comp& c = comps[ci];
+    auto err = [&](std::string msg) { comp_err[ci] = std::move(msg); };
+    const auto size = static_cast<Word>(c.mem_e - c.mem_b);
+    const std::span<const TreeRec> edges(tree.data() + c.tree_b,
+                                         c.tree_e - c.tree_b);
+    if (size == 0) {
+      return err("tree records for component " + std::to_string(c.comp) +
+                 " without members");
+    }
+    if (!c.dir_size.has_value()) return err("missing directory entry");
+    if (*c.dir_size != size) {
+      return err("directory size mismatch for component " +
+                 std::to_string(c.comp));
+    }
+    if (size == 1) {
+      if (!edges.empty()) return err("singleton with tree edges");
+      const auto v = static_cast<std::size_t>(members[c.mem_b].second);
+      if (vrec[v].cached_idx != etour::kNoIndex) {
         return err("singleton with a cached tour index");
       }
       return;
     }
-    if (eit == comp_edges.end()) return err("component without tree edges");
-    std::map<VertexId, std::set<Word>>& appearances = comp_apps[c];
-    for (const auto& [key, idx] : eit->second) {
-      for (auto [w, i] : {std::pair{key.u, idx.u1}, std::pair{key.u, idx.u2},
-                          std::pair{key.v, idx.v1}, std::pair{key.v, idx.v2}}) {
-        if (i < 1 || i > elen) return err("tour index out of range");
-        if (!tour.emplace(i, w).second) return err("duplicate tour index");
-        appearances[w].insert(i);
+    if (edges.empty()) return err("component without tree edges");
+    const std::span<VertexId> tour = tour_of(c);
+    // step_rec[k]: the record holding position 2k + 1, which in a genuine
+    // tour also holds 2k + 2 (each traversal step is one tree edge).
+    const std::span<std::uint32_t> step_rec =
+        std::span<std::uint32_t>(step_recs).subspan(c.tour_off / 2,
+                                                    tour.size() / 2);
+    for (std::size_t r = c.tree_b; r < c.tree_e; ++r) {
+      const TreeRec& e = tree[r];
+      const std::array<VertexId, 4> owner{e.key.u, e.key.u, e.key.v, e.key.v};
+      for (std::size_t a = 0; a < 4; ++a) {
+        const Word i = e.idx[a];
+        if (i < 1 || i > c.elen) return err("tour index out of range");
+        const auto p = static_cast<std::size_t>(i - 1);
+        if (tour[p] != dmpc::kNoVertex) return err("duplicate tour index");
+        tour[p] = owner[a];
+        if (p % 2 == 0) step_rec[p / 2] = static_cast<std::uint32_t>(r);
       }
     }
-    if (static_cast<Word>(tour.size()) != elen) {
-      return err("tour incomplete for component " + std::to_string(comp));
+    if (4 * static_cast<Word>(edges.size()) != c.elen) {
+      return err("tour incomplete for component " + std::to_string(c.comp));
     }
     // Closed-walk property.
-    std::vector<VertexId> seq;
-    seq.reserve(static_cast<std::size_t>(elen));
-    for (const auto& [i, w] : tour) seq.push_back(w);
-    if (seq.front() != seq.back()) return err("tour not closed");
-    for (std::size_t k = 1; 2 * k < seq.size(); ++k) {
-      if (seq[2 * k - 1] != seq[2 * k]) return err("tour walk broken");
+    if (tour.front() != tour.back()) return err("tour not closed");
+    for (std::size_t k = 1; 2 * k < tour.size(); ++k) {
+      if (tour[2 * k - 1] != tour[2 * k]) return err("tour walk broken");
     }
-    for (std::size_t k = 0; 2 * k + 1 < seq.size(); ++k) {
-      const EdgeKey kk(seq[2 * k], seq[2 * k + 1]);
-      if (eit->second.count(kk) == 0) {
+    const auto by_key = [](const TreeRec& e, const EdgeKey& key) {
+      return e.key < key;
+    };
+    for (std::size_t k = 0; 2 * k + 1 < tour.size(); ++k) {
+      const EdgeKey key(tour[2 * k], tour[2 * k + 1]);
+      if (tree[step_rec[k]].key == key) continue;
+      const auto it =
+          std::lower_bound(edges.begin(), edges.end(), key, by_key);
+      if (it == edges.end() || it->key != key) {
         return err("tour traverses a non-tree edge");
       }
     }
     // Every member vertex appears, and cached indexes are genuine
-    // appearances.
-    for (VertexId v : members) {
-      const auto ait = appearances.find(v);
-      if (ait == appearances.end()) {
+    // appearances: tour[cached_idx] is the vertex itself.
+    for (std::size_t mi = c.mem_b; mi < c.mem_e; ++mi) {
+      const VertexId v = members[mi].second;
+      const Word idx = vrec[static_cast<std::size_t>(v)].cached_idx;
+      if (appears(c, v, idx)) continue;
+      if (std::find(tour.begin(), tour.end(), v) == tour.end()) {
         return err("vertex " + std::to_string(v) + " missing from tour");
       }
-      const VertexRec& vr = vrecs.at(v);
-      if (ait->second.count(vr.cached_idx) == 0) {
-        return err("stale cached index for vertex " + std::to_string(v));
-      }
+      return err("stale cached index for vertex " + std::to_string(v));
     }
   });
-  std::map<VertexId, std::set<Word>> global_appearances;
-  for (std::size_t c = 0; c < comps.size(); ++c) {
-    if (comp_err[c].has_value()) return fail(*comp_err[c]);
-    // Vertices belong to exactly one component, so the merge is disjoint.
-    global_appearances.merge(comp_apps[c]);
+  for (const std::optional<std::string>& e : comp_err) {
+    if (e.has_value()) return fail(*e);
   }
 
-  // Phase 3 (pooled, per non-tree record): component consistency and
-  // cached-appearance checks (a stale cached index would silently corrupt
-  // a future split's crossing detection, so this is the load-bearing
-  // invariant).  First failure in machine-then-slot order, as before.
-  std::vector<std::optional<std::string>> nt_err(nontree.size());
-  exec().run(nontree.size(), [&](std::size_t i) {
-    const EdgeRec& rec = nontree[i];
-    if (vrecs.at(rec.u).comp != rec.comp ||
-        vrecs.at(rec.v).comp != rec.comp) {
-      nt_err[i] = "non-tree record with inconsistent component";
-      return;
-    }
-    const auto au = global_appearances.find(rec.u);
-    const auto av = global_appearances.find(rec.v);
-    if (au == global_appearances.end() || au->second.count(rec.iu1) == 0 ||
-        av == global_appearances.end() || av->second.count(rec.iv1) == 0) {
-      nt_err[i] = "stale cached index on non-tree edge (" +
-                  std::to_string(rec.u) + "," + std::to_string(rec.v) + ")";
+  // Phase 3 (pooled, per machine): every non-tree record agrees with its
+  // endpoints' components, and its cached indexes are genuine
+  // appearances in that component's tour (a stale cached index would
+  // silently corrupt a future split's crossing detection, so this is the
+  // load-bearing invariant).  First failure in machine-then-slot order.
+  std::vector<std::optional<std::string>> nt_err(machines_.size());
+  exec().run(machines_.size(), [&](std::size_t m) {
+    const EdgeShard& es = machines_[m].edges;
+    for (std::size_t s = 0; s < es.size(); ++s) {
+      if (es.tree[s] != 0) continue;
+      const Word comp = es.comp_at(s);
+      const VertexId u = es.u[s];
+      const VertexId v = es.v[s];
+      if (vrec.at(static_cast<std::size_t>(u)).comp != comp ||
+          vrec.at(static_cast<std::size_t>(v)).comp != comp) {
+        nt_err[m] = "non-tree record with inconsistent component";
+        return;
+      }
+      // `comp` names vertex u, so it has an entry.
+      const Comp& c = *std::lower_bound(
+          comps.begin(), comps.end(), comp,
+          [](const Comp& a, Word id) { return a.comp < id; });
+      if (!appears(c, u, es.iu1[s]) || !appears(c, v, es.iv1[s])) {
+        nt_err[m] = "stale cached index on non-tree edge (" +
+                    std::to_string(u) + "," + std::to_string(v) + ")";
+        return;
+      }
     }
   });
   for (const std::optional<std::string>& e : nt_err) {

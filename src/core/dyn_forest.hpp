@@ -55,7 +55,7 @@
 // replacement searches visit only the records of the components they
 // read or rewrite, and the driver-side serial folds —
 // per-update scan reductions, preprocessing's tour builds, validate()'s
-// full-tour walk, the snapshot helpers — also run on the installed
+// per-component tour sweep, the snapshot helpers — also run on the installed
 // executor with deterministic merge order (byte-identical results under
 // SerialExecutor and ThreadPoolExecutor).
 //
@@ -213,11 +213,15 @@ class DynamicForest {
 
   /// Structural validation: rebuilds every component's tour from the
   /// distributed records and checks the E-tour invariants, the cached
-  /// vertex indexes, and the directory sizes.  Returns false + reason on
+  /// vertex indexes, the directory sizes, and that every tree record's
+  /// component has member vertices.  Returns false + reason on
   /// violation.
   [[nodiscard]] bool validate(std::string* why = nullptr) const;
 
  private:
+  /// Corrupts single records in tests of validate()'s failure branches.
+  friend struct DynamicForestTestPeer;
+
   struct EdgeRec {
     VertexId u = dmpc::kNoVertex;  // canonical u < v
     VertexId v = dmpc::kNoVertex;

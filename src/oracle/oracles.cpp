@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <unordered_map>
 
 #include "oracle/dsu.hpp"
 
@@ -32,15 +33,44 @@ bool same_component(const DynamicGraph& g, VertexId u, VertexId v) {
          labels[static_cast<std::size_t>(v)];
 }
 
+namespace {
+
+/// The label each label of one side must always pair with.  Labels are
+/// vertex ids in practice, so [0, n) indexes dense arrays; any other
+/// label takes a hash-map slot.
+class Pairing {
+ public:
+  explicit Pairing(std::size_t n) : dense_(n), paired_(n, 0) {}
+
+  /// Pairs x with y, or reports whether x was already paired with y.
+  bool consistent(VertexId x, VertexId y) {
+    if (x < 0 || static_cast<std::size_t>(x) >= dense_.size()) {
+      return sparse_.try_emplace(x, y).first->second == y;
+    }
+    const auto i = static_cast<std::size_t>(x);
+    if (paired_[i] == 0) {
+      paired_[i] = 1;
+      dense_[i] = y;
+    }
+    return dense_[i] == y;
+  }
+
+ private:
+  std::vector<VertexId> dense_;
+  std::vector<std::uint8_t> paired_;
+  std::unordered_map<VertexId, VertexId> sparse_;
+};
+
+}  // namespace
+
 bool same_partition(const std::vector<VertexId>& a,
                     const std::vector<VertexId>& b) {
   if (a.size() != b.size()) return false;
-  std::map<VertexId, VertexId> a2b, b2a;
+  Pairing a2b(a.size()), b2a(a.size());
   for (std::size_t v = 0; v < a.size(); ++v) {
-    auto [it1, fresh1] = a2b.emplace(a[v], b[v]);
-    if (!fresh1 && it1->second != b[v]) return false;
-    auto [it2, fresh2] = b2a.emplace(b[v], a[v]);
-    if (!fresh2 && it2->second != a[v]) return false;
+    if (!a2b.consistent(a[v], b[v]) || !b2a.consistent(b[v], a[v])) {
+      return false;
+    }
   }
   return true;
 }

@@ -39,6 +39,19 @@ TEST(ConnectedComponents, CanonicalLabels) {
   EXPECT_EQ(labels[5], 4);
 }
 
+TEST(SamePartition, ComparesClassesNotLabels) {
+  using L = std::vector<VertexId>;
+  // Canonical vertex-id labels against a forest's arbitrary component
+  // ids: in-range, past n and negative labels alike.
+  EXPECT_TRUE(oracle::same_partition({0, 0, 2, 3}, {9, 9, -5, 1}));
+  EXPECT_TRUE(oracle::same_partition({0, 0, 2, 3}, {1, 1, 0, 2}));
+  EXPECT_FALSE(oracle::same_partition({0, 0, 2, 3}, {9, 9, 9, 1}));  // merged
+  EXPECT_FALSE(oracle::same_partition({0, 0, 2, 3}, {9, 7, 8, 1}));  // split
+  EXPECT_FALSE(oracle::same_partition({0, 0, 2, 2}, {-1, -1, 7, -1}));
+  EXPECT_FALSE(oracle::same_partition(L{0, 0}, L{0, 0, 0}));
+  EXPECT_TRUE(oracle::same_partition(L{}, L{}));
+}
+
 TEST(MsfWeight, MatchesHandComputedTree) {
   WeightedDynamicGraph g(4);
   g.insert_edge(0, 1, 1);
